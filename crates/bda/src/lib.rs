@@ -57,9 +57,9 @@ pub use bda_sim as sim;
 pub mod prelude {
     pub use bda_btree::{DistributedScheme, OneMScheme};
     pub use bda_core::{
-        AccessOutcome, BucketRef, Channel, Dataset, DiskConfig, DiskLayout, DiskScheme, DynSystem,
-        FlatDisksScheme, FlatScheme, GroupConfig, IndexedGroupScheme, Key, Params, Record, Scheme,
-        StripedScheme, System, Ticks,
+        AccessOutcome, BucketRef, Channel, ChannelModel, Dataset, DiskConfig, DiskLayout,
+        DiskScheme, DynSystem, FlatDisksScheme, FlatScheme, GroupConfig, IndexedGroupScheme, Key,
+        Params, Record, RetryPolicy, Scheme, StripedScheme, System, Ticks,
     };
     pub use bda_datagen::{
         zipf_ranking, zipf_weights, Arrivals, DatasetBuilder, Popularity, Prng, QueryWorkload,

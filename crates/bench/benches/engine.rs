@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bda_bench::SchemeKind;
-use bda_core::{Key, Params, Ticks};
+use bda_core::{ChannelModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::{DatasetBuilder, Prng};
 use bda_sim::{engine::reference::run_requests_reference, Engine};
 
@@ -77,7 +77,15 @@ fn engine_vs_reference(c: &mut Criterion) {
         b.iter(|| black_box(engine.run_batch(black_box(&requests)).len()))
     });
     group.bench_function(BenchmarkId::new("reference", requests.len()), |b| {
-        b.iter(|| black_box(run_requests_reference(system.as_ref(), black_box(&requests)).len()))
+        b.iter(|| {
+            let done = run_requests_reference(
+                system.as_ref(),
+                black_box(&requests),
+                ChannelModel::NONE,
+                RetryPolicy::UNBOUNDED,
+            );
+            black_box(done.len())
+        })
     });
     group.finish();
 }

@@ -33,8 +33,8 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{Completion, MetricsHub, TimeSeries, WindowSpec};
-use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{run_requests_sharded_channel, CompletedRequest, Engine, UpdateSpec};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec};
 
 /// SplitMix64 — the harness's own deterministic parameter stream.
 struct Rng(u64);
@@ -323,7 +323,7 @@ fn run_cell(cell: &Cell) -> Result<CellStats, String> {
             divergence_context("fast-forward", &fast, "bucket-by-bucket", &slow, width)
         ));
     }
-    let oracle = run_requests_reference_channel(sys.as_ref(), &requests, cell.channel, cell.policy);
+    let oracle = run_requests_reference(sys.as_ref(), &requests, cell.channel, cell.policy);
     if fast != oracle {
         return Err(format!(
             "slab engine ≠ reference oracle\n{}",
@@ -332,13 +332,8 @@ fn run_cell(cell: &Cell) -> Result<CellStats, String> {
     }
     let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
     for shards in [1, cores] {
-        let sharded = run_requests_sharded_channel(
-            sys.as_ref(),
-            &requests,
-            shards,
-            cell.channel,
-            cell.policy,
-        );
+        let sharded = ShardedEngine::with_channel(sys.as_ref(), shards, cell.channel, cell.policy)
+            .run_batch(&requests);
         if fast != sharded {
             return Err(format!(
                 "slab engine ≠ sharded engine at {shards} shards\n{}",

@@ -392,7 +392,12 @@ fn main() {
             );
 
             let start = Instant::now();
-            run_requests_reference(system.as_ref(), &ref_requests);
+            run_requests_reference(
+                system.as_ref(),
+                &ref_requests,
+                ChannelModel::NONE,
+                RetryPolicy::UNBOUNDED,
+            );
             let ref_t = start.elapsed().as_secs_f64();
 
             reference_speedup = Some(ref_t / slab_t.max(1e-12));

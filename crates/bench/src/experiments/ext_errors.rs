@@ -11,11 +11,11 @@
 //! Two execution modes share the sweep grid:
 //!
 //! * **walker** (default) — one isolated client per query via
-//!   [`bda_core::DynSystem::probe_with_errors`]; fastest, the historical
+//!   [`bda_core::DynSystem::probe_with_channel`]; fastest, the historical
 //!   mode.
 //! * **engine** (`--engine`) — every cell's queries run as *concurrent
 //!   clients* through the slab discrete-event engine
-//!   ([`bda_sim::Engine::with_faults`]), exactly the fault-injection
+//!   ([`bda_sim::Engine::with_channel`]), exactly the fault-injection
 //!   testbed the differential suite verifies. Outcomes are identical per
 //!   request (engine ≡ walker — `engine_lossy_equiv` proves it); the
 //!   engine mode additionally reports retries per query from
@@ -29,7 +29,7 @@
 //! deleted mid-air, so the per-query assertion weakens from "found" to
 //! "never aborted, never answered from a stale program".
 
-use bda_core::{ErrorModel, Key, Params, RetryPolicy, Ticks};
+use bda_core::{ChannelModel, ErrorModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::{DatasetBuilder, Prng};
 use bda_sim::Engine;
 
@@ -69,7 +69,7 @@ fn cell_requests(
 fn run_cell_walker(
     sys: &dyn bda_core::DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: ChannelModel,
     dynamic: bool,
 ) -> CellResult {
     let mut at = 0f64;
@@ -77,7 +77,7 @@ fn run_cell_walker(
     let mut retries = 0u64;
     let mut restarts = 0u64;
     for &(tune_in, key) in requests {
-        let out = sys.probe_with_errors(key, tune_in, errors);
+        let out = sys.probe_with_channel(key, tune_in, channel, RetryPolicy::UNBOUNDED);
         assert!(!out.aborted, "{} aborted under loss", sys.scheme_name());
         // Under updates the key may have been deleted mid-air; not-found
         // and truthful abandonment are legitimate then.
@@ -101,10 +101,10 @@ fn run_cell_walker(
 fn run_cell_engine(
     sys: &dyn bda_core::DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: ChannelModel,
     dynamic: bool,
 ) -> CellResult {
-    let mut engine = Engine::with_faults(sys, errors, RetryPolicy::UNBOUNDED);
+    let mut engine = Engine::with_channel(sys, channel, RetryPolicy::UNBOUNDED);
     let completed = engine.run_batch(requests);
     let mut at = 0f64;
     let mut tt = 0f64;
@@ -165,7 +165,7 @@ pub fn run(cli: &Cli) {
     let mut t = Table::new(&headers_ref);
 
     for &pct in &LOSS_PCT {
-        let errors = ErrorModel::new(f64::from(pct) / 100.0, cli.seed ^ 0xE7);
+        let channel = ChannelModel::iid(ErrorModel::new(f64::from(pct) / 100.0, cli.seed ^ 0xE7));
         let mut row = vec![pct.to_string()];
         for &kind in &schemes {
             let sys = match spec {
@@ -175,9 +175,9 @@ pub fn run(cli: &Cli) {
             let seed = cli.seed ^ u64::from(pct) << 32 ^ kind.name().len() as u64;
             let requests = cell_requests(&dataset, sys.cycle_len(), queries, seed);
             let cell = if cli.engine {
-                run_cell_engine(sys.as_ref(), &requests, errors, dynamic)
+                run_cell_engine(sys.as_ref(), &requests, channel, dynamic)
             } else {
-                run_cell_walker(sys.as_ref(), &requests, errors, dynamic)
+                run_cell_walker(sys.as_ref(), &requests, channel, dynamic)
             };
             row.push(format!("{:.0}", cell.at));
             row.push(format!("{:.0}", cell.tt));

@@ -19,7 +19,7 @@ use bda_core::{
     BurstModel, ChannelModel, ErrorModel, Key, OutageSchedule, Params, RetryPolicy, Ticks,
 };
 use bda_datagen::{DatasetBuilder, Popularity, QueryWorkload};
-use bda_sim::{run_requests_channel, run_requests_with_faults, CompletedRequest};
+use bda_sim::{CompletedRequest, Engine};
 
 use crate::SchemeKind;
 
@@ -53,12 +53,12 @@ const MC_CHANNELS: u32 = 4;
 const MC_SWITCH: Ticks = 256;
 
 /// The two channel variants every scheme is pinned under.
-fn variants() -> [(&'static str, ErrorModel, RetryPolicy); 2] {
+fn variants() -> [(&'static str, ChannelModel, RetryPolicy); 2] {
     [
-        ("lossless", ErrorModel::NONE, RetryPolicy::UNBOUNDED),
+        ("lossless", ChannelModel::NONE, RetryPolicy::UNBOUNDED),
         (
             "lossy15",
-            ErrorModel::new(LOSS, SEED ^ 0xFA57),
+            ChannelModel::iid(ErrorModel::new(LOSS, SEED ^ 0xFA57)),
             RetryPolicy::bounded(2),
         ),
     ]
@@ -172,8 +172,8 @@ pub fn corpus() -> Vec<(String, String)> {
     for kind in SchemeKind::ALL {
         let system = kind.build(&ds, &params).expect("corpus scheme build");
         let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-        for (variant, errors, policy) in variants() {
-            let completed = run_requests_with_faults(system.as_ref(), &reqs, errors, policy);
+        for (variant, channel, policy) in variants() {
+            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
             let header = format!(
                 "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
                 kind.name()
@@ -194,8 +194,8 @@ pub fn corpus() -> Vec<(String, String)> {
             .expect("disk-capable corpus kind")
             .expect("corpus disk build");
         let reqs = disk_requests(&ds, &pool, 8 * system.cycle_len());
-        for (variant, errors, policy) in variants() {
-            let completed = run_requests_with_faults(system.as_ref(), &reqs, errors, policy);
+        for (variant, channel, policy) in variants() {
+            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
             let header = format!(
                 "scheme={} disks={DISK_DISKS} theta={DISK_THETA} variant={variant} records={RECORDS} seed={SEED:#x}",
                 kind.name()
@@ -217,7 +217,7 @@ pub fn corpus() -> Vec<(String, String)> {
         let system = kind.build(&ds, &params).expect("corpus scheme build");
         let reqs = requests(&ds, &pool, 16 * system.cycle_len());
         for (variant, channel, policy) in burst_variants() {
-            let completed = run_requests_channel(system.as_ref(), &reqs, channel, policy);
+            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
             let header = format!(
                 "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
                 kind.name()
@@ -238,8 +238,8 @@ pub fn corpus() -> Vec<(String, String)> {
             .build_multichannel(&ds, &params, config, None)
             .expect("corpus multichannel build");
         let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-        for (variant, errors, policy) in variants() {
-            let completed = run_requests_with_faults(system.as_ref(), &reqs, errors, policy);
+        for (variant, channel, policy) in variants() {
+            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
             let header = format!(
                 "scheme={} channels={MC_CHANNELS} switch_cost={MC_SWITCH} variant={variant} records={RECORDS} seed={SEED:#x}",
                 kind.name()
@@ -306,8 +306,9 @@ mod tests {
                 .build_multichannel(&ds, &params, config, None)
                 .expect("K=1 multichannel build");
             let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-            for (variant, errors, policy) in variants() {
-                let completed = run_requests_with_faults(system.as_ref(), &reqs, errors, policy);
+            for (variant, channel, policy) in variants() {
+                let completed =
+                    Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
                 let header = format!(
                     "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
                     kind.name()
@@ -327,7 +328,8 @@ mod tests {
                 .expect("K=1 multichannel build");
             let reqs = requests(&ds, &pool, 16 * system.cycle_len());
             for (variant, channel, policy) in burst_variants() {
-                let completed = run_requests_channel(system.as_ref(), &reqs, channel, policy);
+                let completed =
+                    Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
                 let header = format!(
                     "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
                     kind.name()

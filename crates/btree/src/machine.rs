@@ -72,13 +72,13 @@ impl BTreeMachine {
                 // Leaf index bucket: entries carry exact record keys.
                 if entry.max_key == self.key {
                     self.state = State::Fetch;
-                    Action::DozeTo(meta.end + entry.delta)
+                    Action::DozeTo(meta.end.saturating_add(entry.delta))
                 } else {
                     Action::Finish(Verdict::not_found())
                 }
             } else {
                 self.state = State::Descend;
-                Action::DozeTo(meta.end + entry.delta)
+                Action::DozeTo(meta.end.saturating_add(entry.delta))
             }
         } else if lateral {
             // Wrong subtree: follow the control index to the deepest
@@ -88,7 +88,7 @@ impl BTreeMachine {
             match ib.select_control(self.key) {
                 Some(c) => {
                     self.state = State::Orient;
-                    Action::DozeTo(meta.end + c.delta)
+                    Action::DozeTo(meta.end.saturating_add(c.delta))
                 }
                 None => Action::Finish(Verdict::not_found()),
             }
@@ -123,7 +123,7 @@ impl ProtocolMachine<BTreePayload> for BTreeMachine {
                     }
                 }
                 self.state = State::Orient;
-                Action::DozeTo(meta.end + payload.next_seg_delta())
+                Action::DozeTo(meta.end.saturating_add(payload.next_seg_delta()))
             }
             State::Orient | State::Descend => match payload {
                 BTreePayload::Index(ib) => {

@@ -54,7 +54,8 @@ FLAGS:
                          channel, bit-identical to no flag)
     --switch-cost S      air time one channel retune costs the client, in
                          bytes (with --channels; default 0)
-    --accuracy A         confidence accuracy target (simulate; default 0.02)
+    --accuracy A         confidence accuracy target, in (0, 1] (simulate;
+                         default 0.02)
     --shards N           worker shards for the event-driven testbed: each
                          round is partitioned across N per-core engines
                          and merged deterministically — reports are
@@ -221,6 +222,9 @@ impl Options {
         if !(0.0..=100.0).contains(&o.loss) {
             return Err("--loss must be 0..=100".into());
         }
+        if !(o.accuracy > 0.0 && o.accuracy <= 1.0) {
+            return Err("--accuracy must be in (0, 1]".into());
+        }
         if loss_set && o.burst.is_some() {
             return Err("--loss and --burst are mutually exclusive: pick one loss model".into());
         }
@@ -260,11 +264,6 @@ impl Options {
         Ok(o)
     }
 
-    /// The error model these flags select.
-    pub fn error_model(&self) -> bda_core::ErrorModel {
-        bda_core::ErrorModel::new(self.loss / 100.0, self.seed ^ 0xE7)
-    }
-
     /// The full channel model these flags select: `--burst` picks a
     /// Gilbert–Elliott loss process (else the i.i.d. `--loss` model), and
     /// `--outage RATE,LEN` composes periodic unusable windows on top.
@@ -278,7 +277,10 @@ impl Options {
                 lb / 100.0,
                 self.seed ^ 0xB5,
             )),
-            None => bda_core::ChannelModel::iid(self.error_model()),
+            None => bda_core::ChannelModel::iid(bda_core::ErrorModel::new(
+                self.loss / 100.0,
+                self.seed ^ 0xE7,
+            )),
         };
         if let Some((rate, len)) = self.outage {
             // RATE percent of air time down in spans of `len` bytes: one
@@ -342,6 +344,7 @@ fn parse_list(flag: &str, s: &str) -> Result<Vec<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bda_core::{ChannelModel, ErrorModel};
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -385,6 +388,10 @@ mod tests {
         assert!(parse(&["--update-rate", "-1"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
         assert!(parse(&["--bogus", "1"]).is_err());
+        for bad in ["-1", "0", "1.5", "NaN", "inf"] {
+            assert!(parse(&["--accuracy", bad]).is_err(), "--accuracy {bad}");
+        }
+        assert!(parse(&["--accuracy", "1"]).is_ok());
     }
 
     #[test]
@@ -470,7 +477,7 @@ mod tests {
         assert_eq!(o.burst, Some((2.0, 10.0, 0.0, 100.0)));
         let ch = o.channel_model();
         // A burst channel is not reducible to the i.i.d. model.
-        assert!(ch.as_iid().is_none());
+        assert!(matches!(ch.loss, bda_core::LossModel::Burst(_)));
         assert!(!ch.has_outages());
         // Defaults: LG=0, LB=100 — the classic Gilbert channel.
         let full = parse(&["--burst", "2,10,1,80"]).unwrap();
@@ -506,7 +513,7 @@ mod tests {
         let both = parse(&["--burst", "2,10", "--outage", "5,200"]).unwrap();
         let ch = both.channel_model();
         assert!(ch.has_outages());
-        assert!(ch.as_iid().is_none());
+        assert!(matches!(ch.loss, bda_core::LossModel::Burst(_)));
         // Malformed tuples are rejected.
         assert!(parse(&["--outage", "5"]).is_err());
         assert!(parse(&["--outage", "0,200"]).is_err());
@@ -519,24 +526,22 @@ mod tests {
     #[test]
     fn default_channel_is_degenerate_iid() {
         let o = parse(&["--loss", "10", "--seed", "1"]).unwrap();
-        // Without --burst/--outage the channel reduces to the exact
-        // i.i.d. model — same seed, same draws, bit-identical walks.
-        assert_eq!(o.channel_model().as_iid(), Some(o.error_model()));
+        // Without --burst/--outage the channel is the i.i.d. model at the
+        // flag's rate and the seed-derived loss seed.
+        let iid = |loss, seed: u64| ChannelModel::iid(ErrorModel::new(loss, seed ^ 0xE7));
+        assert_eq!(o.channel_model(), iid(0.10, 1));
         let d = parse(&[]).unwrap();
-        assert_eq!(d.channel_model().as_iid(), Some(d.error_model()));
+        assert_eq!(d.channel_model(), iid(0.0, d.seed));
     }
 
     #[test]
     fn fault_flags_map_to_model_and_policy() {
         let o = parse(&["--loss", "10", "--retry", "3", "--seed", "1"]).unwrap();
-        assert!((o.error_model().loss_prob - 0.10).abs() < 1e-12);
+        assert!((o.channel_model().mean_loss() - 0.10).abs() < 1e-12);
         assert_eq!(o.retry_policy(), bda_core::RetryPolicy::bounded(3));
         // Default: lossless, retry forever.
         let d = parse(&[]).unwrap();
-        assert_eq!(
-            d.error_model(),
-            bda_core::ErrorModel::new(0.0, d.seed ^ 0xE7)
-        );
+        assert!(d.channel_model().is_lossless());
         assert_eq!(d.retry_policy(), bda_core::RetryPolicy::UNBOUNDED);
     }
 }

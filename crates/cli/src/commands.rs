@@ -632,8 +632,7 @@ pub fn compare(o: &Options) -> Result<(), String> {
         );
         let mut cfg = SimConfig::quick();
         cfg.event_driven = false;
-        cfg.errors = o.error_model();
-        cfg.channel = Some(o.channel_model());
+        cfg.channel = o.channel_model();
         cfg.retry = o.retry_policy();
         cfg.updates = o.update_spec();
         if o.timeline_out.is_some() {
@@ -718,8 +717,7 @@ pub fn simulate(o: &Options) -> Result<(), String> {
     );
     let mut cfg = SimConfig::paper();
     cfg.accuracy = o.accuracy;
-    cfg.errors = o.error_model();
-    cfg.channel = Some(o.channel_model());
+    cfg.channel = o.channel_model();
     cfg.retry = o.retry_policy();
     cfg.updates = o.update_spec();
     cfg.shards = o.shards;

@@ -65,8 +65,7 @@ fn span_delta(before: &PhaseSpans, after: &PhaseSpans) -> (Phase, u64, u64) {
 
 /// Drive `machine` against `channel`, describing every bucket read with
 /// `describe`. Burst loss and scheduled outages are rendered with their
-/// cause (`×CORRUPT` vs `×OUTAGE`); a degenerate [`ChannelModel`] traces
-/// bit-identically to the i.i.d. [`ErrorModel`] it wraps.
+/// cause (`×CORRUPT` vs `×OUTAGE`).
 pub fn trace_walk_channel<P, M: ProtocolMachine<P>>(
     channel: &Channel<P>,
     machine: M,
@@ -157,7 +156,7 @@ pub fn trace_walk_channel<P, M: ProtocolMachine<P>>(
         if outcome.found {
             "FOUND"
         } else if outcome.abandoned {
-            "ABANDONED (retry policy gave up)"
+            "ABANDONED (client gave up)"
         } else {
             "NOT FOUND"
         },
@@ -371,29 +370,15 @@ mod tests {
     use super::*;
     use bda_core::{Dataset, DynSystem, ErrorModel, FlatScheme, Params, Record, Scheme};
 
-    /// The legacy i.i.d. entry point: delegates through the channel path,
-    /// which the degenerate-equality test below shows is loss-for-loss
-    /// identical.
-    fn trace_query<S: System>(
-        sys: &S,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-        describe: impl Fn(&S::Payload) -> String,
-    ) -> Trace {
-        trace_query_channel(sys, key, tune_in, errors.into(), policy, describe)
-    }
-
     #[test]
     fn trace_lines_cover_the_walk() {
         let ds = Dataset::new((0..8).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let t = trace_query(
+        let t = trace_query_channel(
             &sys,
             bda_core::Key(6),
             100,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             describe::flat,
         );
@@ -412,11 +397,11 @@ mod tests {
         let sys = bda_btree::DistributedScheme::new()
             .build(&ds, &Params::paper())
             .unwrap();
-        let t = trace_query(
+        let t = trace_query_channel(
             &sys,
             bda_core::Key(40),
             1_000,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             describe::btree,
         );
@@ -464,11 +449,11 @@ mod tests {
     fn corrupt_reads_are_flagged_in_events() {
         let ds = Dataset::new((0..8).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let t = trace_query(
+        let t = trace_query_channel(
             &sys,
             bda_core::Key(6),
             0,
-            ErrorModel::new(0.5, 7),
+            ChannelModel::iid(ErrorModel::new(0.5, 7)),
             RetryPolicy::UNBOUNDED,
             describe::flat,
         );
@@ -487,29 +472,17 @@ mod tests {
 
     #[test]
     fn burst_and_outage_traces_flag_their_cause() {
-        use bda_core::{BurstModel, ChannelModel, OutageSchedule};
+        use bda_core::{BurstModel, OutageSchedule};
         let ds = Dataset::new((0..8).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        // A degenerate channel traces bit-identically to the i.i.d. path.
-        let errors = ErrorModel::new(0.5, 7);
-        let iid = trace_query(
-            &sys,
-            bda_core::Key(6),
-            0,
-            errors,
-            RetryPolicy::UNBOUNDED,
-            describe::flat,
+        // An i.i.d. channel traces exactly the direct walker's outcome.
+        let iid = ChannelModel::iid(ErrorModel::new(0.5, 7));
+        let policy = RetryPolicy::UNBOUNDED;
+        let chan = trace_query_channel(&sys, bda_core::Key(6), 0, iid, policy, describe::flat);
+        assert_eq!(
+            chan.outcome,
+            sys.probe_with_channel(bda_core::Key(6), 0, iid, policy)
         );
-        let chan = trace_query_channel(
-            &sys,
-            bda_core::Key(6),
-            0,
-            ChannelModel::iid(errors),
-            RetryPolicy::UNBOUNDED,
-            describe::flat,
-        );
-        assert_eq!(iid.lines, chan.lines);
-        assert_eq!(iid.outcome, chan.outcome);
         // An outage-only channel marks dead reads ×OUTAGE, not ×CORRUPT.
         let faults = ChannelModel::burst(BurstModel::new(0.3, 0.3, 0.0, 1.0, 5))
             .with_outages(OutageSchedule::new(400, 120, 9));
@@ -538,11 +511,11 @@ mod tests {
     fn abandoned_traces_say_so() {
         let ds = Dataset::new((0..8).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let t = trace_query(
+        let t = trace_query_channel(
             &sys,
             bda_core::Key(6),
             0,
-            ErrorModel::new(1.0, 1),
+            ChannelModel::iid(ErrorModel::new(1.0, 1)),
             RetryPolicy::bounded(1),
             describe::flat,
         );

@@ -14,11 +14,11 @@
 //!   whole number of its cycles. Version stamps are carried in every
 //!   bucket header ([`crate::Bucket::version`]).
 //! * A [`VersionedWalk`] drives a [`ProtocolMachine`] across the timeline
-//!   with byte-exact [`Walk`]-compatible accounting. Before a bucket's
-//!   payload reaches the machine, the walker compares the header version
-//!   against the walk's **anchor version** (the program the machine's
-//!   pointers were derived from). On mismatch it reports the skew to the
-//!   machine ([`ProtocolMachine::on_stale`]) and, for the default
+//!   with byte-exact [`Walk`](crate::machine::Walk)-compatible accounting.
+//!   Before a bucket's payload reaches the machine, the walker compares the
+//!   header version against the walk's **anchor version** (the program the
+//!   machine's pointers were derived from). On mismatch it reports the
+//!   skew to the machine ([`ProtocolMachine::on_stale`]) and, for the default
 //!   [`StaleResponse::Respawn`], rebuilds the machine against the live
 //!   program and re-anchors at the skewed bucket.
 //!
@@ -30,18 +30,18 @@
 //! never a phantom read of a half-old, half-new cycle.
 //!
 //! With a single epoch (a frozen program) the walker executes the exact
-//! same decisions as [`Walk`] and produces bit-identical
-//! [`AccessOutcome`]s — the keystone invariant the differential suite in
+//! same decisions as [`Walk`](crate::machine::Walk) and produces
+//! bit-identical [`AccessOutcome`]s — the keystone invariant the differential suite in
 //! `bda-sim` pins down.
 
 use crate::bucket::{Bucket, BucketMeta};
 use crate::error::{BdaError, Result};
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, RetryPolicy};
 use crate::key::Key;
 use crate::machine::{AccessOutcome, Action, ProtocolMachine, StaleResponse, WalkStep};
 use crate::scheme::{QueryRun, QuerySlot, System};
 use crate::Ticks;
-use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder};
 
 /// One stretch of air time during which a single broadcast program repeats.
 #[derive(Debug)]
@@ -187,32 +187,17 @@ pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
 impl<'a, S: System> VersionedWalk<'a, S> {
     /// Begin a query at absolute time `tune_in` over a lossless channel.
     pub fn new(timeline: &'a ProgramTimeline<S>, key: Key, tune_in: Ticks) -> Self {
-        VersionedWalk::with_policy(
+        VersionedWalk::with_channel(
             timeline,
             key,
             tune_in,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
         )
     }
 
-    /// Begin a query with fault injection and an explicit client retry
-    /// policy — the full-fat constructor matching
-    /// [`Walk::with_policy`](crate::machine::Walk::with_policy).
-    pub fn with_policy(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedWalk::with_recorder(timeline, key, tune_in, errors, policy, NoopRecorder)
-    }
-
-    /// Begin a query over a unified [`ChannelModel`] (i.i.d. or burst
-    /// loss, with or without outages). With a degenerate channel
-    /// (`ChannelModel::from(errors)`) this is bit-identical to
-    /// [`VersionedWalk::with_policy`].
+    /// Begin a query behind a [`ChannelModel`] (i.i.d. or burst loss,
+    /// with or without outages) under the client retry `policy`.
     pub fn with_channel(
         timeline: &'a ProgramTimeline<S>,
         key: Key,
@@ -225,31 +210,11 @@ impl<'a, S: System> VersionedWalk<'a, S> {
 }
 
 impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
-    /// Begin a query that reports every step's phase-attributed span to
-    /// `recorder` — the dynamic counterpart of
-    /// [`Walk::with_recorder`](crate::machine::Walk::with_recorder). Skewed
-    /// reads (header version ≠ anchor version) are attributed to
-    /// [`Phase::StaleRecovery`].
-    pub fn with_recorder(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        VersionedWalk::with_channel_recorder(
-            timeline,
-            key,
-            tune_in,
-            errors.into(),
-            policy,
-            recorder,
-        )
-    }
-
-    /// [`VersionedWalk::with_channel`] with span instrumentation — the most
-    /// general constructor; every other constructor delegates here.
+    /// [`VersionedWalk::with_channel`] reporting every step's
+    /// phase-attributed span to `recorder` — the dynamic counterpart of
+    /// [`Walk::with_channel_recorder`](crate::machine::Walk::with_channel_recorder).
+    /// Skewed reads (header version ≠ anchor version) are attributed to
+    /// [`Phase::StaleRecovery`]. Every other constructor delegates here.
     pub fn with_channel_recorder(
         timeline: &'a ProgramTimeline<S>,
         key: Key,
@@ -346,8 +311,9 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
         WalkStep::Done(out)
     }
 
-    /// Give up truthfully — the retry budget ran out, or program churn
-    /// starved the walk (probe budget exhausted with restarts on record).
+    /// Give up truthfully — the retry budget ran out, program churn
+    /// starved the walk (probe budget exhausted with restarts on record),
+    /// or the clock reached its end.
     fn abandon(&mut self) -> WalkStep {
         let mut step = self.finish(false, self.false_drops_hint, false);
         if let (Some(out), WalkStep::Done(done)) = (self.outcome.as_mut(), &mut step) {
@@ -429,7 +395,10 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
                 let ch = epoch.system.channel();
                 let bucket = ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
-                let end = start + size;
+                let Some(end) = start.checked_add(size) else {
+                    // The clock would pass `Ticks::MAX`: give up truthfully.
+                    return self.abandon();
+                };
                 let from = self.now;
                 self.tuning += end - self.now;
                 self.now = end;
@@ -519,15 +488,6 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
             Action::Fail(_) => self.finish(false, self.false_drops_hint, true),
         }
     }
-
-    /// Drive the walk to completion.
-    pub fn run(mut self) -> AccessOutcome {
-        loop {
-            if let WalkStep::Done(out) = self.step() {
-                return out;
-            }
-        }
-    }
 }
 
 impl<S: System, R: Recorder> QueryRun for VersionedWalk<'_, S, R> {
@@ -540,110 +500,22 @@ impl<S: System, R: Recorder> QueryRun for VersionedWalk<'_, S, R> {
     }
 }
 
-/// Run one query over a dynamic broadcast timeline (lossless fast path).
-pub fn run_versioned<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-) -> AccessOutcome {
-    VersionedWalk::new(timeline, key, tune_in).run()
-}
-
-/// Run one query over a dynamic broadcast timeline with fault injection
-/// and an explicit client retry policy.
-pub fn run_versioned_with_policy<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    VersionedWalk::with_policy(timeline, key, tune_in, errors, policy).run()
-}
-
-/// Run one query over a dynamic broadcast timeline behind a unified
-/// [`ChannelModel`] (burst loss, outages, or both).
-pub fn run_versioned_with_channel<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    VersionedWalk::with_channel(timeline, key, tune_in, channel, policy).run()
-}
-
-/// [`run_versioned_with_channel`] with span instrumentation.
-pub fn run_versioned_observed_channel<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    let mut walk = VersionedWalk::with_channel_recorder(
-        timeline,
-        key,
-        tune_in,
-        channel,
-        policy,
-        SpanRecorder::new(),
-    );
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
-}
-
-/// [`run_versioned_with_policy`] with span instrumentation: also returns
-/// the walk's per-phase decomposition, whose totals equal the outcome's
-/// `access`/`tuning` exactly. Skewed reads land in
-/// [`Phase::StaleRecovery`].
-pub fn run_versioned_observed<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    let mut walk =
-        VersionedWalk::with_recorder(timeline, key, tune_in, errors, policy, SpanRecorder::new());
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
-}
-
 /// The reusable [`QuerySlot`] over a [`ProgramTimeline`] — the dynamic
 /// counterpart of [`crate::scheme::WalkSlot`], used by the slab engine so
-/// dynamic mode performs no per-request allocation either.
-pub struct VersionedSlot<'a, S: System> {
+/// dynamic mode performs no per-request allocation either. Each query
+/// runs with a fresh `R` recorder; a [`SpanRecorder`](bda_obs::SpanRecorder)
+/// exposes its spans via [`QuerySlot::spans`].
+pub struct VersionedSlot<'a, S: System, R = NoopRecorder> {
     timeline: &'a ProgramTimeline<S>,
-    walk: Option<VersionedWalk<'a, S>>,
+    walk: Option<VersionedWalk<'a, S, R>>,
     channel: ChannelModel,
     policy: RetryPolicy,
 }
 
-impl<'a, S: System> VersionedSlot<'a, S> {
-    /// An empty lossless slot; [`QuerySlot::start`] arms it.
-    pub fn new(timeline: &'a ProgramTimeline<S>) -> Self {
-        VersionedSlot::with_faults(timeline, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// An empty slot whose queries run over an error-prone channel with a
-    /// client retry policy.
-    pub fn with_faults(
-        timeline: &'a ProgramTimeline<S>,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedSlot::with_channel(timeline, errors.into(), policy)
-    }
-
-    /// An empty slot whose queries run behind a unified [`ChannelModel`].
-    pub fn with_channel(
+impl<'a, S: System, R: Recorder + Default> VersionedSlot<'a, S, R> {
+    /// An empty slot whose queries run behind `channel` with the client
+    /// retry `policy`; [`QuerySlot::start`] arms it.
+    pub fn new(
         timeline: &'a ProgramTimeline<S>,
         channel: ChannelModel,
         policy: RetryPolicy,
@@ -657,71 +529,7 @@ impl<'a, S: System> VersionedSlot<'a, S> {
     }
 }
 
-impl<S: System> QuerySlot for VersionedSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        self.walk = Some(VersionedWalk::with_channel(
-            self.timeline,
-            key,
-            tune_in,
-            self.channel,
-            self.policy,
-        ));
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, VersionedWalk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`VersionedSlot`]: each query runs with
-/// a [`SpanRecorder`], exposed via [`QuerySlot::spans`].
-pub struct ObservedVersionedSlot<'a, S: System> {
-    timeline: &'a ProgramTimeline<S>,
-    walk: Option<VersionedWalk<'a, S, SpanRecorder>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-}
-
-impl<'a, S: System> ObservedVersionedSlot<'a, S> {
-    /// An empty instrumented slot; [`QuerySlot::start`] arms it.
-    pub fn with_faults(
-        timeline: &'a ProgramTimeline<S>,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedVersionedSlot::with_channel(timeline, errors.into(), policy)
-    }
-
-    /// An empty instrumented slot behind a unified [`ChannelModel`].
-    pub fn with_channel(
-        timeline: &'a ProgramTimeline<S>,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedVersionedSlot {
-            timeline,
-            walk: None,
-            channel,
-            policy,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
+impl<S: System, R: Recorder + Default + Send> QuerySlot for VersionedSlot<'_, S, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
         self.walk = Some(VersionedWalk::with_channel_recorder(
             self.timeline,
@@ -729,7 +537,7 @@ impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
             tune_in,
             self.channel,
             self.policy,
-            SpanRecorder::new(),
+            R::default(),
         ));
     }
 
@@ -752,7 +560,7 @@ impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().map(|w| &w.recorder().spans)
+        self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
 }
 
@@ -763,7 +571,28 @@ mod tests {
     use crate::machine::run_machine;
     use crate::params::Params;
     use crate::record::{Dataset, Record};
-    use crate::scheme::Scheme;
+    use crate::scheme::{drain, Scheme};
+    use bda_obs::SpanRecorder;
+
+    fn versioned<S: System>(tl: &ProgramTimeline<S>, key: Key, t: Ticks) -> AccessOutcome {
+        drain(&mut VersionedWalk::new(tl, key, t))
+    }
+
+    fn versioned_recorded<S: System>(
+        tl: &ProgramTimeline<S>,
+        key: Key,
+        t: Ticks,
+    ) -> (AccessOutcome, PhaseSpans) {
+        let mut walk = VersionedWalk::with_channel_recorder(
+            tl,
+            key,
+            t,
+            ChannelModel::NONE,
+            RetryPolicy::UNBOUNDED,
+            SpanRecorder::new(),
+        );
+        (drain(&mut walk), walk.recorder().spans)
+    }
 
     fn dataset(keys: &[u64]) -> Dataset {
         Dataset::new(keys.iter().map(|&k| Record::keyed(k)).collect()).unwrap()
@@ -835,7 +664,7 @@ mod tests {
         for key in [Key(0), Key(30), Key(35), Key(70)] {
             for t in [0u64, 17, 1000, 5555] {
                 let frozen = run_machine(sys.channel(), sys.query(key), t);
-                let dynamic = run_versioned(&tl, key, t);
+                let dynamic = versioned(&tl, key, t);
                 assert_eq!(frozen, dynamic, "key {key:?} t {t}");
                 assert_eq!(dynamic.version_skews, 0);
                 assert_eq!(dynamic.stale_restarts, 0);
@@ -851,7 +680,7 @@ mod tests {
         // Tune in one bucket before the boundary, searching key 40 (only
         // exists after the update). The scan crosses into epoch 1, detects
         // the skew, respawns, and finds the key in the new program.
-        let out = run_versioned(&tl, Key(40), boundary - bucket);
+        let out = versioned(&tl, Key(40), boundary - bucket);
         assert!(out.found, "key inserted by the update must be found");
         assert!(!out.aborted);
         assert_eq!(out.stale_restarts, 1);
@@ -861,7 +690,7 @@ mod tests {
         // the boundary either never sees it (respawns into epoch 1 and
         // scans a full new cycle) — truthful not-found — or the walk
         // aborts never; a stale payload is never returned.
-        let out = run_versioned(&tl, Key(20), boundary - bucket);
+        let out = versioned(&tl, Key(20), boundary - bucket);
         assert!(!out.aborted);
         assert!(!out.found, "deleted key must not resolve to a stale record");
         assert!(out.version_skews >= 1);
@@ -870,7 +699,7 @@ mod tests {
     #[test]
     fn walk_entirely_within_an_epoch_sees_no_skew() {
         let tl = two_epoch_timeline();
-        let out = run_versioned(&tl, Key(20), 0);
+        let out = versioned(&tl, Key(20), 0);
         // Key 20 exists throughout epoch 0 and the scan completes within
         // the first cycle: found, no skew.
         assert!(out.found);
@@ -878,7 +707,7 @@ mod tests {
         assert_eq!(out.stale_restarts, 0);
 
         let boundary = tl.epoch(1).start;
-        let out = run_versioned(&tl, Key(40), boundary);
+        let out = versioned(&tl, Key(40), boundary);
         assert!(out.found);
         assert_eq!(out.version_skews, 0);
     }
@@ -888,13 +717,7 @@ mod tests {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
         let bucket = u64::from(Params::paper().data_bucket_size());
-        let (out, spans) = run_versioned_observed(
-            &tl,
-            Key(40),
-            boundary - bucket,
-            ErrorModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        );
+        let (out, spans) = versioned_recorded(&tl, Key(40), boundary - bucket);
         assert!(out.found);
         assert!(out.version_skews >= 1);
         assert_eq!(spans.total_access(), out.access);
@@ -907,9 +730,8 @@ mod tests {
 
         // A skew-free walk records no StaleRecovery spans, and the observed
         // walk's outcome matches the plain one bit-for-bit.
-        let (clean, clean_spans) =
-            run_versioned_observed(&tl, Key(20), 0, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
-        assert_eq!(clean, run_versioned(&tl, Key(20), 0));
+        let (clean, clean_spans) = versioned_recorded(&tl, Key(20), 0);
+        assert_eq!(clean, versioned(&tl, Key(20), 0));
         assert_eq!(clean_spans.get(Phase::StaleRecovery).count, 0);
         assert_eq!(clean_spans.total_access(), clean.access);
     }
@@ -918,7 +740,8 @@ mod tests {
     fn versioned_slot_agrees_with_one_shot_run() {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
-        let mut slot = VersionedSlot::new(&tl);
+        let mut slot: VersionedSlot<'_, _> =
+            VersionedSlot::new(&tl, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         assert!(slot.is_done(), "fresh slot is idle");
         for key in [Key(0), Key(20), Key(40), Key(55)] {
             for t in [0u64, boundary - 7, boundary + 3] {
@@ -928,7 +751,7 @@ mod tests {
                         break out;
                     }
                 };
-                assert_eq!(stepped, run_versioned(&tl, key, t));
+                assert_eq!(stepped, versioned(&tl, key, t));
             }
         }
     }

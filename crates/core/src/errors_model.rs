@@ -26,8 +26,8 @@
 //! Degenerate configurations are bit-identical to the simpler models they
 //! collapse to: a burst channel with `loss_good == loss_bad` draws exactly
 //! like the i.i.d. [`ErrorModel`] with that probability and seed, and a
-//! [`ChannelModel`] with no outages and an i.i.d. loss component is the
-//! plain [`ErrorModel`] path, byte for byte.
+//! [`ChannelModel`] with no outages and an i.i.d. loss component corrupts
+//! exactly the transmissions its [`ErrorModel`] does.
 
 use crate::Ticks;
 
@@ -460,10 +460,8 @@ impl LossModel {
 /// process (i.i.d. or burst) composed with scheduled carrier outages.
 ///
 /// A transmission is unusable when it starts inside an outage *or* the
-/// loss process drops it. Degenerate configurations are free:
-/// `ChannelModel::from(errors)` (i.i.d. loss, no outages) corrupts — and
-/// therefore walks, schedules and accounts — bit-identically to the plain
-/// [`ErrorModel`] path it replaces.
+/// loss process drops it. `ChannelModel::iid(errors)` (i.i.d. loss, no
+/// outages) corrupts exactly where `errors` alone does.
 ///
 /// ```
 /// use bda_core::{BurstModel, ChannelModel, ErrorModel, OutageSchedule};
@@ -475,8 +473,7 @@ impl LossModel {
 ///     assert_eq!(flat_burst.corrupted(t), iid.corrupted(t));
 /// }
 /// // Outages corrupt every transmission inside their span.
-/// let ch = ChannelModel::from(ErrorModel::NONE)
-///     .with_outages(OutageSchedule::new(10_000, 500, 3));
+/// let ch = ChannelModel::NONE.with_outages(OutageSchedule::new(10_000, 500, 3));
 /// assert!((0..10_000u64).any(|t| ch.corrupted(t)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -550,21 +547,6 @@ impl ChannelModel {
     pub fn mean_loss(&self) -> f64 {
         let f = self.outages.fraction();
         f + (1.0 - f) * self.loss.mean_loss()
-    }
-
-    /// The plain [`ErrorModel`] this channel degenerates to, when it is
-    /// exactly the pre-burst configuration (i.i.d. loss, no outages).
-    pub fn as_iid(&self) -> Option<ErrorModel> {
-        match (self.loss, self.outages.is_none()) {
-            (LossModel::Iid(m), true) => Some(m),
-            _ => None,
-        }
-    }
-}
-
-impl From<ErrorModel> for ChannelModel {
-    fn from(errors: ErrorModel) -> Self {
-        ChannelModel::iid(errors)
     }
 }
 
@@ -962,12 +944,8 @@ mod tests {
         }
         assert!(ch.has_outages());
         assert!(!ch.is_lossless());
-        assert!(ch.as_iid().is_none(), "outages are not degenerate");
-        // Degenerate: iid loss, no outages.
-        let degen = ChannelModel::iid(ErrorModel::new(0.1, 3));
-        assert_eq!(degen.as_iid(), Some(ErrorModel::new(0.1, 3)));
-        assert_eq!(ChannelModel::from(ErrorModel::NONE), ChannelModel::NONE);
         assert!(ChannelModel::NONE.is_lossless());
+        assert_eq!(ChannelModel::iid(ErrorModel::NONE), ChannelModel::NONE);
     }
 
     #[test]

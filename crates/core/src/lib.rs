@@ -50,11 +50,7 @@ pub use disks::{
     DiskConfig, DiskGeometry, DiskLayout, DiskMachine, DiskScheme, DiskSystem, FlatDisksScheme,
     RepetitionSchedule,
 };
-pub use dynamic::{
-    run_versioned, run_versioned_observed, run_versioned_observed_channel,
-    run_versioned_with_channel, run_versioned_with_policy, Epoch, ObservedVersionedSlot,
-    ProgramTimeline, VersionedSlot, VersionedWalk,
-};
+pub use dynamic::{Epoch, ProgramTimeline, VersionedSlot, VersionedWalk};
 pub use error::{BdaError, ProtocolFault, Result};
 pub use errors_model::{
     BurstModel, ChainState, ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy,
@@ -62,19 +58,16 @@ pub use errors_model::{
 pub use flat::{FlatPayload, FlatScheme, FlatSystem};
 pub use key::Key;
 pub use machine::{
-    run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_errors, run_machine_with_policy, AccessOutcome, Action, FastForward,
-    ProtocolMachine, StaleResponse, Verdict, Walk, WalkStep,
+    AccessOutcome, Action, FastForward, ProtocolMachine, StaleResponse, Verdict, Walk, WalkStep,
 };
 pub use multichannel::{
-    channel_model_for, error_model_for, even_partition, patch_outcome, patch_spans, remix_seed,
-    BucketRef, GroupConfig, GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme,
-    IndexedGroupSystem, ObservedStripedSlot, StripedScheme, StripedSlot, StripedSystem,
-    SwitchedRun,
+    channel_model_for, even_partition, patch_outcome, patch_spans, remix_seed, BucketRef,
+    GroupConfig, GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme, IndexedGroupSystem,
+    StripedScheme, StripedSlot, StripedSystem, SwitchedRun,
 };
 pub use params::Params;
 pub use record::{Dataset, Record};
-pub use scheme::{DynSystem, ObservedWalkSlot, QueryRun, QuerySlot, Scheme, System, WalkSlot};
+pub use scheme::{DynSystem, QueryRun, QuerySlot, Scheme, System, WalkSlot};
 
 // Observability vocabulary, re-exported so scheme crates implementing
 // `ProtocolMachine::bucket_kind` (and drivers wiring recorders through

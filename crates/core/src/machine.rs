@@ -15,9 +15,9 @@
 use crate::bucket::BucketMeta;
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, RetryPolicy};
 use crate::Ticks;
-use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder};
 
 /// What a protocol machine wants to do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,11 +321,13 @@ pub struct AccessOutcome {
     /// Corrupted bucket transmissions the client had to recover from
     /// (always 0 on a lossless channel).
     pub retries: u32,
-    /// Set when the client's [`RetryPolicy`] gave up on an error-prone
-    /// channel (retry budget exhausted or give-up deadline passed). An
-    /// abandoned query is a *truthful* failure — `found` is false and the
-    /// client knows it stopped early — unlike `aborted`, which flags a
-    /// protocol bug. Always false under [`RetryPolicy::UNBOUNDED`].
+    /// Set when the client gave up: its [`RetryPolicy`] ran out on an
+    /// error-prone channel (retry budget exhausted or give-up deadline
+    /// passed), or the next bucket would end past `Ticks::MAX`, the last
+    /// instant the clock can represent. An abandoned query is a *truthful*
+    /// failure — `found` is false and the client knows it stopped early —
+    /// unlike `aborted`, which flags a protocol bug. Under
+    /// [`RetryPolicy::UNBOUNDED`] only the clock's end abandons.
     pub abandoned: bool,
     /// Set when the walker aborted the query because the machine exceeded
     /// its probe budget, dozed into the past, or reported a typed
@@ -402,32 +404,18 @@ pub struct Walk<'a, P, M, R = NoopRecorder> {
 impl<'a, P, M: ProtocolMachine<P>> Walk<'a, P, M> {
     /// Begin a query at absolute time `tune_in` over a lossless channel.
     pub fn new(ch: &'a Channel<P>, machine: M, tune_in: Ticks) -> Self {
-        Walk::with_errors(ch, machine, tune_in, ErrorModel::NONE)
+        Walk::with_channel(
+            ch,
+            machine,
+            tune_in,
+            ChannelModel::NONE,
+            RetryPolicy::UNBOUNDED,
+        )
     }
 
-    /// Begin a query over an error-prone channel: each bucket transmission
-    /// is independently corrupted per `errors`, and the machine recovers
-    /// via [`ProtocolMachine::on_corrupt`] (retrying forever).
-    pub fn with_errors(ch: &'a Channel<P>, machine: M, tune_in: Ticks, errors: ErrorModel) -> Self {
-        Walk::with_policy(ch, machine, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    /// Begin a query over an error-prone channel with an explicit
-    /// client-side [`RetryPolicy`] governing recovery from corrupt reads.
-    pub fn with_policy(
-        ch: &'a Channel<P>,
-        machine: M,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        Walk::with_recorder(ch, machine, tune_in, errors, policy, NoopRecorder)
-    }
-
-    /// Begin a query over a unified [`ChannelModel`] (i.i.d. or burst
-    /// loss, with or without outages). With a degenerate channel
-    /// (`ChannelModel::from(errors)`) this is bit-identical to
-    /// [`Walk::with_policy`].
+    /// Begin a query behind a [`ChannelModel`] (i.i.d. or burst loss, with
+    /// or without outages): corrupted transmissions are recovered via
+    /// [`ProtocolMachine::on_corrupt`] under the client's [`RetryPolicy`].
     pub fn with_channel(
         ch: &'a Channel<P>,
         machine: M,
@@ -440,23 +428,10 @@ impl<'a, P, M: ProtocolMachine<P>> Walk<'a, P, M> {
 }
 
 impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
-    /// Begin a query that reports every step's phase-attributed span to
-    /// `recorder`. With the default [`NoopRecorder`] (`ENABLED = false`)
-    /// every instrumentation site compiles out and this is exactly
-    /// [`Walk::with_policy`].
-    pub fn with_recorder(
-        ch: &'a Channel<P>,
-        machine: M,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        Walk::with_channel_recorder(ch, machine, tune_in, errors.into(), policy, recorder)
-    }
-
-    /// [`Walk::with_channel`] with span instrumentation — the most general
-    /// constructor; every other constructor delegates here.
+    /// [`Walk::with_channel`] reporting every step's phase-attributed span
+    /// to `recorder`. With the default [`NoopRecorder`] (`ENABLED = false`)
+    /// every instrumentation site compiles out. Every other constructor
+    /// delegates here.
     pub fn with_channel_recorder(
         ch: &'a Channel<P>,
         mut machine: M,
@@ -565,7 +540,8 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         WalkStep::Done(out)
     }
 
-    /// Give up truthfully: the retry policy's budget or deadline ran out.
+    /// Give up truthfully: the retry policy's budget or deadline ran out,
+    /// or the clock reached its end.
     fn abandon(&mut self) -> WalkStep {
         let mut step = self.finish(false, self.false_drops_hint, false);
         if let (Some(out), WalkStep::Done(done)) = (self.outcome.as_mut(), &mut step) {
@@ -678,7 +654,11 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 let (idx, start) = self.ch.first_complete_at(self.now);
                 let bucket = self.ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
-                let end = start + size;
+                let Some(end) = start.checked_add(size) else {
+                    // The clock would pass `Ticks::MAX`: give up truthfully
+                    // rather than wrap into the past.
+                    return self.abandon();
+                };
                 let from = self.now;
                 // The client listens from `now` until the bucket completes:
                 // any partial-bucket tail counts as tuning (initial wait).
@@ -763,101 +743,23 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     }
 }
 
-/// Drive a machine to completion and return its outcome — the fast path
-/// used by benchmarks and analytical-validation sweeps.
+/// Drive a machine to completion over a lossless channel and return its
+/// outcome — the fast path used by benchmarks and analytical-validation
+/// sweeps.
 pub fn run_machine<P, M: ProtocolMachine<P>>(
     ch: &Channel<P>,
     machine: M,
     tune_in: Ticks,
 ) -> AccessOutcome {
-    run_machine_with_errors(ch, machine, tune_in, ErrorModel::NONE)
-}
-
-/// [`run_machine`] over an error-prone channel (unbounded retries).
-pub fn run_machine_with_errors<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-) -> AccessOutcome {
-    run_machine_with_policy(ch, machine, tune_in, errors, RetryPolicy::UNBOUNDED)
-}
-
-/// [`run_machine`] over an error-prone channel with an explicit client
-/// [`RetryPolicy`].
-pub fn run_machine_with_policy<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    let mut walk = Walk::with_policy(ch, machine, tune_in, errors, policy);
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return out;
-        }
-    }
-}
-
-/// [`run_machine`] over a unified [`ChannelModel`] (burst loss and/or
-/// outages) with an explicit client [`RetryPolicy`]. Degenerate channels
-/// reproduce [`run_machine_with_policy`] bit for bit.
-pub fn run_machine_with_channel<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    let mut walk = Walk::with_channel(ch, machine, tune_in, channel, policy);
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return out;
-        }
-    }
-}
-
-/// [`run_machine_with_channel`] with span instrumentation.
-pub fn run_machine_observed_channel<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    let mut walk =
-        Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, SpanRecorder::new());
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
-}
-
-/// [`run_machine_with_policy`] with span instrumentation: also returns the
-/// walk's per-phase access/tuning decomposition, whose totals equal the
-/// outcome's `access` and `tuning` exactly (spans are recorded as the
-/// bytes are paid, so the sums telescope).
-pub fn run_machine_observed<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    let mut walk = Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
+    crate::scheme::drain(&mut Walk::new(ch, machine, tune_in))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bucket::Bucket;
+    use crate::errors_model::ErrorModel;
+    use bda_obs::SpanRecorder;
 
     fn ch(sizes: &[u32]) -> Channel<usize> {
         Channel::new(
@@ -1055,7 +957,7 @@ mod tests {
         let c = ch(&[10, 20]);
         // Every transmission corrupt: budget of 2 retries means the third
         // corrupt read gives up.
-        let out = run_machine_with_policy(
+        let out = run_lossy(
             &c,
             FirstGood,
             0,
@@ -1072,14 +974,14 @@ mod tests {
     #[test]
     fn backoff_dozes_whole_cycles_between_retries() {
         let c = ch(&[10, 20]); // cycle length 30
-        let immediate = run_machine_with_policy(
+        let immediate = run_lossy(
             &c,
             FirstGood,
             0,
             ErrorModel::new(1.0, 1),
             RetryPolicy::bounded(2),
         );
-        let backed_off = run_machine_with_policy(
+        let backed_off = run_lossy(
             &c,
             FirstGood,
             0,
@@ -1097,7 +999,7 @@ mod tests {
     #[test]
     fn give_up_deadline_abandons_at_next_corrupt_read() {
         let c = ch(&[10, 20]);
-        let out = run_machine_with_policy(
+        let out = run_lossy(
             &c,
             FirstGood,
             0,
@@ -1114,7 +1016,7 @@ mod tests {
         // Tune in mid-bucket at t=5: initial probe listens through bucket 0's
         // tail + bucket 1 (5+20... no: first_complete_at(5) is bucket 1, so
         // the client listens 5 bytes of bucket 0 tail then bucket 1).
-        let (out, spans) = run_machine_observed(
+        let (out, spans) = run_observed(
             &c,
             Scripted {
                 reads: 2,
@@ -1139,7 +1041,7 @@ mod tests {
     #[test]
     fn corrupt_reads_are_attributed_to_retry() {
         let c = ch(&[10, 20]);
-        let (out, spans) = run_machine_observed(
+        let (out, spans) = run_observed(
             &c,
             FirstGood,
             0,
@@ -1159,7 +1061,7 @@ mod tests {
     fn noop_and_observed_walks_agree() {
         let c = ch(&[10, 20, 30]);
         for tune_in in [0u64, 3, 17, 42] {
-            let plain = run_machine_with_policy(
+            let plain = run_lossy(
                 &c,
                 Scripted {
                     reads: 2,
@@ -1170,7 +1072,7 @@ mod tests {
                 ErrorModel::new(0.3, 9),
                 RetryPolicy::bounded(5),
             );
-            let (observed, _) = run_machine_observed(
+            let (observed, _) = run_observed(
                 &c,
                 Scripted {
                     reads: 2,
@@ -1215,16 +1117,20 @@ mod tests {
         }
     }
 
-    fn run_ff<P, M: ProtocolMachine<P>>(
+    /// Run a walk to completion behind an i.i.d. channel, recording spans;
+    /// also returns the number of steps it took.
+    fn run_recorded<P, M: ProtocolMachine<P>>(
         ch: &Channel<P>,
         machine: M,
         tune_in: Ticks,
         errors: ErrorModel,
         policy: RetryPolicy,
+        ff: bool,
     ) -> (AccessOutcome, PhaseSpans, u64) {
+        let channel = ChannelModel::iid(errors);
         let mut walk =
-            Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
-        walk.set_fast_forward(true);
+            Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, SpanRecorder::new());
+        walk.set_fast_forward(ff);
         let mut steps = 0u64;
         loop {
             steps += 1;
@@ -1234,6 +1140,41 @@ mod tests {
         }
     }
 
+    fn run_observed<P, M: ProtocolMachine<P>>(
+        ch: &Channel<P>,
+        machine: M,
+        tune_in: Ticks,
+        errors: ErrorModel,
+        policy: RetryPolicy,
+    ) -> (AccessOutcome, PhaseSpans) {
+        let (out, spans, _) = run_recorded(ch, machine, tune_in, errors, policy, false);
+        (out, spans)
+    }
+
+    fn run_ff<P, M: ProtocolMachine<P>>(
+        ch: &Channel<P>,
+        machine: M,
+        tune_in: Ticks,
+        errors: ErrorModel,
+        policy: RetryPolicy,
+    ) -> (AccessOutcome, PhaseSpans, u64) {
+        run_recorded(ch, machine, tune_in, errors, policy, true)
+    }
+
+    /// The uninstrumented walk behind an i.i.d. channel.
+    fn run_lossy<P, M: ProtocolMachine<P>>(
+        ch: &Channel<P>,
+        machine: M,
+        tune_in: Ticks,
+        errors: ErrorModel,
+        policy: RetryPolicy,
+    ) -> AccessOutcome {
+        let channel = ChannelModel::iid(errors);
+        crate::scheme::drain(&mut Walk::with_channel(
+            ch, machine, tune_in, channel, policy,
+        ))
+    }
+
     #[test]
     fn fast_forward_is_tick_identical_and_collapses_steps() {
         let c = ch(&[10, 20, 30, 40, 50, 60, 70, 80]);
@@ -1241,13 +1182,8 @@ mod tests {
             for tune_in in [0u64, 5, 33, 359] {
                 for errors in [ErrorModel::NONE, ErrorModel::new(0.4, 0xC0FF)] {
                     let policy = RetryPolicy::UNBOUNDED;
-                    let (slow, slow_spans) = run_machine_observed(
-                        &c,
-                        SkipTo { target, seen: 0 },
-                        tune_in,
-                        errors,
-                        policy,
-                    );
+                    let (slow, slow_spans) =
+                        run_observed(&c, SkipTo { target, seen: 0 }, tune_in, errors, policy);
                     let (fast, fast_spans, steps) =
                         run_ff(&c, SkipTo { target, seen: 0 }, tune_in, errors, policy);
                     assert_eq!(slow, fast, "target={target} t={tune_in}");
@@ -1318,7 +1254,7 @@ mod tests {
             },
             5,
         );
-        let strict = run_machine_with_policy(
+        let strict = run_lossy(
             &c,
             Scripted {
                 reads: 2,

@@ -46,15 +46,12 @@ use crate::channel::Channel;
 use crate::error::{BdaError, Result};
 use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{
-    run_machine, run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_policy, AccessOutcome, Walk, WalkStep,
-};
+use crate::machine::{AccessOutcome, Walk, WalkStep};
 use crate::params::Params;
 use crate::record::Dataset;
-use crate::scheme::{DynSystem, QueryRun, QuerySlot, Scheme, System};
+use crate::scheme::{drain, DynSystem, QueryRun, QuerySlot, Scheme, System};
 use crate::Ticks;
-use bda_obs::{Phase, PhaseSpans, SpanRecorder};
+use bda_obs::{NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
 /// A cross-channel bucket address: bucket starting at cycle-relative
 /// `offset` on channel `channel` of the group. Directory entries carry
@@ -121,15 +118,6 @@ pub fn remix_seed(seed: u64, g: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Channel `g`'s view of the caller's [`ErrorModel`]: same loss rate,
-/// remixed seed (identity at `g == 0`).
-pub fn error_model_for(base: ErrorModel, g: u32) -> ErrorModel {
-    ErrorModel {
-        loss_prob: base.loss_prob,
-        seed: remix_seed(base.seed, g),
-    }
-}
-
 /// Channel `g`'s view of the caller's [`ChannelModel`]: every probability
 /// and schedule shape unchanged, every seed remixed (identity at
 /// `g == 0`). Carriers fade independently, but with the same severity.
@@ -138,7 +126,10 @@ pub fn channel_model_for(base: ChannelModel, g: u32) -> ChannelModel {
         return base;
     }
     let loss = match base.loss {
-        LossModel::Iid(m) => LossModel::Iid(error_model_for(m, g)),
+        LossModel::Iid(m) => LossModel::Iid(ErrorModel {
+            seed: remix_seed(m.seed, g),
+            ..m
+        }),
         LossModel::Burst(m) => LossModel::Burst(crate::errors_model::BurstModel {
             seed: remix_seed(m.seed, g),
             ..m
@@ -310,10 +301,12 @@ impl<S: System> StripedSystem<S> {
             .saturating_sub(1)
     }
 
-    fn route_with_cost(&self, key: Key) -> (usize, Ticks) {
+    /// The channel for `key` and the retune cost a client tuning in at
+    /// `tune_in` pays, cut short where it would pass `Ticks::MAX`.
+    fn route_with_cost(&self, key: Key, tune_in: Ticks) -> (usize, Ticks) {
         let g = self.route(key);
         let sw = if g == 0 { 0 } else { self.switch_cost };
-        (g, sw)
+        (g, sw.min(Ticks::MAX - tune_in))
     }
 }
 
@@ -366,88 +359,12 @@ impl<R: QueryRun> QueryRun for SwitchedRun<R> {
 /// The reusable [`QuerySlot`] of a striped group: routes each query to
 /// its channel at [`QuerySlot::start`], arms an inner [`Walk`] behind the
 /// channel's derived fault model, and patches the switch cost into the
-/// final outcome.
-pub struct StripedSlot<'a, S: System> {
+/// final outcome. With a [`SpanRecorder`] the exposed spans gain one
+/// [`Phase::ChannelSwitch`] span when the query paid a retune (patched at
+/// completion, so the totals equal the patched outcome).
+pub struct StripedSlot<'a, S: System, R = NoopRecorder> {
     system: &'a StripedSystem<S>,
-    walk: Option<Walk<'a, S::Payload, S::Machine>>,
-    base: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-    pending: Ticks,
-}
-
-impl<'a, S: System> StripedSlot<'a, S> {
-    /// An empty slot over the group behind `base` faults; arm with
-    /// [`QuerySlot::start`].
-    pub fn with_channel(
-        system: &'a StripedSystem<S>,
-        base: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        StripedSlot {
-            system,
-            walk: None,
-            base,
-            policy,
-            ff: false,
-            pending: 0,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for StripedSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.system.route_with_cost(key);
-        let sys = &self.system.channels[g];
-        let mut walk = Walk::with_channel(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            channel_model_for(self.base, g as u32),
-            self.policy,
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-        self.pending = sw;
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        let step = self
-            .walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step();
-        match step {
-            WalkStep::Done(out) => WalkStep::Done(patch_outcome(out, self.pending)),
-            s => s,
-        }
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`StripedSlot`]: inner spans plus one
-/// [`Phase::ChannelSwitch`] span when the query paid a retune, exposed
-/// after completion (so the exposed totals equal the patched outcome).
-pub struct ObservedStripedSlot<'a, S: System> {
-    system: &'a StripedSystem<S>,
-    walk: Option<Walk<'a, S::Payload, S::Machine, SpanRecorder>>,
+    walk: Option<Walk<'a, S::Payload, S::Machine, R>>,
     base: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
@@ -455,14 +372,11 @@ pub struct ObservedStripedSlot<'a, S: System> {
     patched: Option<PhaseSpans>,
 }
 
-impl<'a, S: System> ObservedStripedSlot<'a, S> {
-    /// An empty instrumented slot; arm with [`QuerySlot::start`].
-    pub fn with_channel(
-        system: &'a StripedSystem<S>,
-        base: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedStripedSlot {
+impl<'a, S: System, R: Recorder + Default> StripedSlot<'a, S, R> {
+    /// An empty slot over the group behind `base` faults; arm with
+    /// [`QuerySlot::start`].
+    pub fn new(system: &'a StripedSystem<S>, base: ChannelModel, policy: RetryPolicy) -> Self {
+        StripedSlot {
             system,
             walk: None,
             base,
@@ -474,9 +388,9 @@ impl<'a, S: System> ObservedStripedSlot<'a, S> {
     }
 }
 
-impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
+impl<S: System, R: Recorder + Default + Send> QuerySlot for StripedSlot<'_, S, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.system.route_with_cost(key);
+        let (g, sw) = self.system.route_with_cost(key, tune_in);
         let sys = &self.system.channels[g];
         let mut walk = Walk::with_channel_recorder(
             sys.channel(),
@@ -484,7 +398,7 @@ impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
             tune_in.saturating_add(sw),
             channel_model_for(self.base, g as u32),
             self.policy,
-            SpanRecorder::new(),
+            R::default(),
         );
         walk.set_fast_forward(self.ff);
         self.walk = Some(walk);
@@ -500,19 +414,13 @@ impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
     }
 
     fn step(&mut self) -> WalkStep {
-        let step = self
-            .walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step();
-        match step {
+        let walk = self.walk.as_mut().expect("QuerySlot::step before start");
+        match walk.step() {
             WalkStep::Done(out) => {
-                let spans = self
-                    .walk
-                    .as_ref()
-                    .map(|w| w.recorder().spans)
-                    .unwrap_or_default();
-                self.patched = Some(patch_spans(spans, self.pending));
+                if R::ENABLED {
+                    let spans = walk.recorder().spans().copied().unwrap_or_default();
+                    self.patched = Some(patch_spans(spans, self.pending));
+                }
                 WalkStep::Done(patch_outcome(out, self.pending))
             }
             s => s,
@@ -533,7 +441,7 @@ impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
     fn spans(&self) -> Option<&PhaseSpans> {
         self.patched
             .as_ref()
-            .or_else(|| self.walk.as_ref().map(|w| &w.recorder().spans))
+            .or_else(|| self.walk.as_ref().and_then(|w| w.recorder().spans()))
     }
 }
 
@@ -546,10 +454,9 @@ where
     }
 
     fn cycle_len(&self) -> Ticks {
-        // The group's period is its slowest channel's cycle: after that
-        // many ticks every channel has completed a whole number of... no —
-        // channels are *not* harmonically related in general, so this is
-        // the longest per-channel cycle, the natural back-off unit.
+        // Channels are not harmonically related in general, so the group
+        // has no common period; the longest per-channel cycle is the
+        // back-off unit.
         self.channels
             .iter()
             .map(|c| c.channel().cycle_len())
@@ -564,121 +471,6 @@ where
             .sum()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine(sys.channel(), sys.query(key), tune_in.saturating_add(sw)),
-            sw,
-        )
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine_with_policy(
-                sys.channel(),
-                sys.query(key),
-                tune_in.saturating_add(sw),
-                error_model_for(errors, g as u32),
-                policy,
-            ),
-            sw,
-        )
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::new(sys.channel(), sys.query(key), tune_in.saturating_add(sw));
-        if sw == 0 {
-            Box::new(walk)
-        } else {
-            Box::new(SwitchedRun { inner: walk, sw })
-        }
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::with_policy(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            Box::new(walk)
-        } else {
-            Box::new(SwitchedRun { inner: walk, sw })
-        }
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(
-            self,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        ))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(self, errors.into(), policy))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let (out, spans) = run_machine_observed(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedStripedSlot::with_channel(
-            self,
-            errors.into(),
-            policy,
-        ))
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -686,32 +478,26 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine_with_channel(
-                sys.channel(),
-                sys.query(key),
-                tune_in.saturating_add(sw),
-                channel_model_for(channel, g as u32),
-                policy,
-            ),
-            sw,
-        )
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let out = self.channels[g].probe_with_channel(
+            key,
+            tune_in.saturating_add(sw),
+            channel_model_for(channel, g as u32),
+            policy,
+        );
+        patch_outcome(out, sw)
     }
 
-    fn probe_recorded_channel(
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let (out, spans) = run_machine_observed_channel(
-            sys.channel(),
-            sys.query(key),
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let (out, spans) = self.channels[g].probe_recorded(
+            key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
             policy,
@@ -719,43 +505,38 @@ where
         (patch_outcome(out, sw), patch_spans(spans, sw))
     }
 
-    fn begin_with_channel(
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::with_channel(
-            sys.channel(),
-            sys.query(key),
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let run = self.channels[g].begin(
+            key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
             policy,
         );
         if sw == 0 {
-            Box::new(walk)
+            run
         } else {
-            Box::new(SwitchedRun { inner: walk, sw })
+            Box::new(SwitchedRun::new(run, sw))
         }
     }
 
-    fn make_slot_channel(
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
+        observed: bool,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(self, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedStripedSlot::with_channel(self, channel, policy))
+        if observed {
+            Box::new(StripedSlot::<_, SpanRecorder>::new(self, channel, policy))
+        } else {
+            Box::new(StripedSlot::<_, NoopRecorder>::new(self, channel, policy))
+        }
     }
 }
 
@@ -1276,7 +1057,11 @@ impl QueryRun for GroupWalk<'_> {
                         continue;
                     }
                     let (idx, start) = self.system.index.first_complete_at(self.now);
-                    let end = start.saturating_add(self.system.bucket_size);
+                    let Some(end) = start.checked_add(self.system.bucket_size) else {
+                        // The clock would pass `Ticks::MAX`: give up.
+                        self.complete(false, true, false);
+                        continue;
+                    };
                     let from = self.now;
                     let listened = end - from;
                     self.tuning += listened;
@@ -1313,7 +1098,10 @@ impl QueryRun for GroupWalk<'_> {
                         continue;
                     }
                     let chan = self.channel_of(ch);
-                    let end = start.saturating_add(self.system.bucket_size);
+                    let Some(end) = start.checked_add(self.system.bucket_size) else {
+                        self.complete(false, true, false);
+                        continue;
+                    };
                     let from = self.now;
                     let listened = end - from;
                     self.tuning += listened;
@@ -1349,7 +1137,9 @@ impl QueryRun for GroupWalk<'_> {
                     };
                 }
                 GroupPending::Switch { dref } => {
-                    let sw = self.system.config.switch_cost;
+                    // A retune that would pass `Ticks::MAX` is cut short
+                    // there; the read after it then gives up.
+                    let sw = self.system.config.switch_cost.min(Ticks::MAX - self.now);
                     let chan = self.channel_of(dref.channel);
                     let idx = (dref.offset / self.system.bucket_size) as usize;
                     let arrive = self.now.saturating_add(sw);
@@ -1443,14 +1233,6 @@ impl QuerySlot for GroupSlot<'_> {
     // O(directory depth), not O(cycle length).
 }
 
-fn drain_walk(mut walk: GroupWalk<'_>) -> (AccessOutcome, PhaseSpans) {
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, *walk.spans());
-        }
-    }
-}
-
 impl DynSystem for IndexedGroupSystem {
     fn scheme_name(&self) -> &'static str {
         "indexed-group"
@@ -1469,68 +1251,6 @@ impl DynSystem for IndexedGroupSystem {
         self.index.num_buckets() + self.data.iter().map(Channel::num_buckets).sum::<usize>()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(errors.into(), policy)
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        self.probe_recorded_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel_observed(errors.into(), policy)
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -1538,20 +1258,21 @@ impl DynSystem for IndexedGroupSystem {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        drain_walk(GroupWalk::new(self, key, tune_in, channel, policy)).0
+        drain(&mut GroupWalk::new(self, key, tune_in, channel, policy))
     }
 
-    fn probe_recorded_channel(
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        drain_walk(GroupWalk::new(self, key, tune_in, channel, policy))
+        let mut walk = GroupWalk::new(self, key, tune_in, channel, policy);
+        (drain(&mut walk), *walk.spans())
     }
 
-    fn begin_with_channel(
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
@@ -1561,20 +1282,13 @@ impl DynSystem for IndexedGroupSystem {
         Box::new(GroupWalk::new(self, key, tune_in, channel, policy))
     }
 
-    fn make_slot_channel(
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
+        observed: bool,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::new(self, channel, policy, false))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::new(self, channel, policy, true))
+        Box::new(GroupSlot::new(self, channel, policy, observed))
     }
 }
 
@@ -1582,8 +1296,8 @@ impl DynSystem for IndexedGroupSystem {
 mod tests {
     use super::*;
     use crate::flat::FlatScheme;
+    use crate::machine::run_machine;
     use crate::record::Record;
-    use crate::scheme::drain;
 
     fn dataset(n: usize) -> Dataset {
         Dataset::new((0..n).map(|i| Record::keyed(i as u64 * 10)).collect()).unwrap()
@@ -1681,15 +1395,15 @@ mod tests {
         let sys = StripedScheme::new(FlatScheme, cfg)
             .build(&ds, &params)
             .unwrap();
-        let errors = ErrorModel::new(0.2, 11);
+        let channel = ChannelModel::iid(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(4);
-        let mut slot = sys.make_slot_with_faults(errors, policy);
-        let mut obs = sys.make_slot_observed(errors, policy);
+        let mut slot = sys.make_slot(channel, policy, false);
+        let mut obs = sys.make_slot(channel, policy, true);
         for i in [0u64, 5, 13, 31] {
             for t in [0u64, 777, 44_000] {
                 let key = Key(i * 10);
-                let fast = sys.probe_with_policy(key, t, errors, policy);
-                let mut run = sys.begin_with_faults(key, t, errors, policy);
+                let fast = sys.probe_with_channel(key, t, channel, policy);
+                let mut run = sys.begin(key, t, channel, policy);
                 assert_eq!(drain(run.as_mut()), fast);
                 slot.start(key, t);
                 let stepped = loop {
@@ -1746,7 +1460,7 @@ mod tests {
             .build(&ds, &Params::paper())
             .unwrap();
         let (out, spans) =
-            sys.probe_recorded_channel(Key(400), 7, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+            sys.probe_recorded(Key(400), 7, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         assert!(out.found);
         assert_eq!(spans.total_access(), out.access);
         assert_eq!(spans.total_tuning(), out.tuning);
@@ -1765,12 +1479,12 @@ mod tests {
             .unwrap();
         let model = ChannelModel::iid(ErrorModel::new(0.15, 0xFA57));
         let policy = RetryPolicy::bounded(6);
-        let mut slot = sys.make_slot_channel(model, policy);
+        let mut slot = sys.make_slot(model, policy, false);
         for i in [0u64, 7, 23, 47] {
             for t in [0u64, 31_337] {
                 let key = Key(i * 10);
                 let fast = sys.probe_with_channel(key, t, model, policy);
-                let mut run = sys.begin_with_channel(key, t, model, policy);
+                let mut run = sys.begin(key, t, model, policy);
                 assert_eq!(drain(run.as_mut()), fast);
                 slot.start(key, t);
                 let stepped = loop {

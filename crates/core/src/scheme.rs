@@ -3,16 +3,13 @@
 
 use crate::channel::Channel;
 use crate::error::Result;
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{
-    run_machine, run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_policy, AccessOutcome, ProtocolMachine, Walk, WalkStep,
-};
+use crate::machine::{AccessOutcome, ProtocolMachine, Walk, WalkStep};
 use crate::params::Params;
 use crate::record::Dataset;
 use crate::Ticks;
-use bda_obs::{PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::{NoopRecorder, PhaseSpans, Recorder, SpanRecorder};
 
 /// A broadcast access method: given a dataset and sizing parameters, lay
 /// out a broadcast cycle.
@@ -135,7 +132,7 @@ pub trait QuerySlot: Send {
     fn is_done(&self) -> bool;
 
     /// The current query's per-phase span decomposition, when this slot
-    /// records one (see [`DynSystem::make_slot_observed`]). The default —
+    /// records one (an `observed` [`DynSystem::make_slot`]). The default —
     /// and every uninstrumented slot — returns `None`.
     fn spans(&self) -> Option<&PhaseSpans> {
         None
@@ -154,31 +151,23 @@ pub trait QuerySlot: Send {
 
 /// The canonical [`QuerySlot`] for any [`System`]: an in-place
 /// [`Walk`], rebuilt (not reallocated) on every [`QuerySlot::start`].
-pub struct WalkSlot<'a, S: System> {
+///
+/// Each query runs with a fresh `R` recorder. With the default
+/// [`NoopRecorder`] the slot records nothing; with a [`SpanRecorder`] its
+/// per-phase spans are exposed via [`QuerySlot::spans`] until the next
+/// [`QuerySlot::start`].
+pub struct WalkSlot<'a, S: System, R = NoopRecorder> {
     system: &'a S,
-    walk: Option<Walk<'a, S::Payload, S::Machine>>,
+    walk: Option<Walk<'a, S::Payload, S::Machine, R>>,
     channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 }
 
-impl<'a, S: System> WalkSlot<'a, S> {
-    /// An empty slot for `system` over a lossless channel; call
-    /// [`QuerySlot::start`] to arm it.
-    pub fn new(system: &'a S) -> Self {
-        WalkSlot::with_faults(system, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// An empty slot whose queries all run over the given error-prone
-    /// channel with the given client retry policy — the fault-injection
-    /// counterpart of [`WalkSlot::new`] used by the event engine.
-    pub fn with_faults(system: &'a S, errors: ErrorModel, policy: RetryPolicy) -> Self {
-        WalkSlot::with_channel(system, errors.into(), policy)
-    }
-
-    /// An empty slot whose queries run behind a unified [`ChannelModel`]
-    /// (burst loss, outages, or both).
-    pub fn with_channel(system: &'a S, channel: ChannelModel, policy: RetryPolicy) -> Self {
+impl<'a, S: System, R: Recorder + Default> WalkSlot<'a, S, R> {
+    /// An empty slot whose queries all run behind `channel` with the
+    /// client retry `policy`; call [`QuerySlot::start`] to arm it.
+    pub fn new(system: &'a S, channel: ChannelModel, policy: RetryPolicy) -> Self {
         WalkSlot {
             system,
             walk: None,
@@ -189,75 +178,7 @@ impl<'a, S: System> WalkSlot<'a, S> {
     }
 }
 
-impl<S: System> QuerySlot for WalkSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let mut walk = Walk::with_channel(
-            self.system.channel(),
-            self.system.query(key),
-            tune_in,
-            self.channel,
-            self.policy,
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`WalkSlot`]: each query runs with a
-/// [`SpanRecorder`], and the accumulated per-phase spans are exposed via
-/// [`QuerySlot::spans`] until the next [`QuerySlot::start`].
-pub struct ObservedWalkSlot<'a, S: System> {
-    system: &'a S,
-    walk: Option<Walk<'a, S::Payload, S::Machine, SpanRecorder>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-}
-
-impl<'a, S: System> ObservedWalkSlot<'a, S> {
-    /// An empty instrumented slot; call [`QuerySlot::start`] to arm it.
-    pub fn with_faults(system: &'a S, errors: ErrorModel, policy: RetryPolicy) -> Self {
-        ObservedWalkSlot::with_channel(system, errors.into(), policy)
-    }
-
-    /// An empty instrumented slot behind a unified [`ChannelModel`].
-    pub fn with_channel(system: &'a S, channel: ChannelModel, policy: RetryPolicy) -> Self {
-        ObservedWalkSlot {
-            system,
-            walk: None,
-            channel,
-            policy,
-            ff: false,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
+impl<S: System, R: Recorder + Default + Send> QuerySlot for WalkSlot<'_, S, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
         let mut walk = Walk::with_channel_recorder(
             self.system.channel(),
@@ -265,7 +186,7 @@ impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
             tune_in,
             self.channel,
             self.policy,
-            SpanRecorder::new(),
+            R::default(),
         );
         walk.set_fast_forward(self.ff);
         self.walk = Some(walk);
@@ -297,7 +218,7 @@ impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().map(|w| &w.recorder().spans)
+        self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
 }
 
@@ -308,6 +229,10 @@ impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
 /// `probe`/`begin` are available on concrete systems too — import this
 /// trait to use them. Keeping `probe` on exactly one trait avoids method
 /// ambiguity when both traits are in scope.
+///
+/// A client's channel is always the pair `(ChannelModel, RetryPolicy)`:
+/// [`ChannelModel::NONE`] with [`RetryPolicy::UNBOUNDED`] is the paper's
+/// perfect channel.
 pub trait DynSystem: Send + Sync {
     /// Human-readable scheme name.
     fn scheme_name(&self) -> &'static str;
@@ -318,176 +243,53 @@ pub trait DynSystem: Send + Sync {
     /// Buckets per cycle.
     fn num_buckets(&self) -> usize;
 
-    /// Run one complete query to completion (fast path).
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome;
-
-    /// Run one complete query over an error-prone channel (extension; see
-    /// [`ErrorModel`]), retrying forever.
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome;
-
-    /// Run one complete query over an error-prone channel under an
-    /// explicit client [`RetryPolicy`] — the direct-walker path the
-    /// differential lossy suite checks both engines against.
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome;
-
-    /// Start a stepping query for the event-driven testbed.
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_>;
-
-    /// Start a stepping query over an error-prone channel with a client
-    /// retry policy (fault-injection counterpart of [`DynSystem::begin`]).
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_>;
-
-    /// Allocate a reusable client slot. One slot serves many sequential
-    /// queries via [`QuerySlot::start`]; the slab-based event engine keeps
-    /// one per concurrent client instead of boxing a walker per request.
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_>;
-
-    /// Allocate a reusable client slot whose queries run over an
-    /// error-prone channel with a client retry policy (fault-injection
-    /// counterpart of [`DynSystem::make_slot`]).
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_>;
-
-    /// Run one complete query with span instrumentation, returning the
-    /// outcome together with its per-phase access/tuning decomposition
-    /// (whose totals equal the outcome's `access`/`tuning` exactly).
-    ///
-    /// The default runs the uninstrumented probe and returns empty spans —
-    /// honest (never fabricated attributions) but uninformative; the
-    /// blanket impl for real systems overrides it with true span recording.
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        (
-            self.probe_with_policy(key, tune_in, errors, policy),
-            PhaseSpans::default(),
-        )
+    /// Run one complete query over a lossless channel (fast path).
+    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
+        self.probe_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
     }
 
-    /// Allocate a reusable client slot whose queries record per-phase
-    /// spans, exposed via [`QuerySlot::spans`] after each completion.
-    ///
-    /// The default falls back to an uninstrumented slot (`spans()` stays
-    /// `None`); the blanket impl overrides it.
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_with_faults(errors, policy)
-    }
-
-    /// Run one complete query behind a unified [`ChannelModel`] (burst
-    /// loss, outage windows, or both).
-    ///
-    /// The default handles degenerate channels (i.i.d. loss, no outages)
-    /// by delegating to [`DynSystem::probe_with_policy`] and panics on
-    /// correlated ones, so existing implementations stay correct without
-    /// silently ignoring burst configs; the blanket impl overrides it with
-    /// full support.
+    /// Run one complete query behind `channel` (i.i.d. or burst loss,
+    /// outage windows, or none) under the client retry `policy` — the
+    /// direct walker.
     fn probe_with_channel(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> AccessOutcome {
-        match channel.as_iid() {
-            Some(errors) => self.probe_with_policy(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> AccessOutcome;
 
-    /// [`DynSystem::probe_with_channel`] with span instrumentation. Same
-    /// degenerate-only default as `probe_with_channel`.
-    fn probe_recorded_channel(
+    /// [`DynSystem::probe_with_channel`] with span instrumentation: also
+    /// returns the query's per-phase access/tuning decomposition, whose
+    /// totals equal the outcome's `access`/`tuning` exactly.
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        match channel.as_iid() {
-            Some(errors) => self.probe_recorded(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> (AccessOutcome, PhaseSpans);
 
-    /// Start a stepping query behind a unified [`ChannelModel`]. Same
-    /// degenerate-only default as [`DynSystem::probe_with_channel`].
-    fn begin_with_channel(
+    /// Start a stepping query for the event-driven testbed.
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.begin_with_faults(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> Box<dyn QueryRun + '_>;
 
-    /// Allocate a reusable client slot behind a unified [`ChannelModel`].
-    /// Same degenerate-only default as [`DynSystem::probe_with_channel`].
-    fn make_slot_channel(
+    /// Allocate a reusable client slot. One slot serves many sequential
+    /// queries via [`QuerySlot::start`]; the slab-based event engine keeps
+    /// one per concurrent client instead of boxing a walker per request.
+    /// An `observed` slot records per-phase spans, exposed via
+    /// [`QuerySlot::spans`] after each completion.
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.make_slot_with_faults(errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
-
-    /// Allocate a reusable instrumented slot behind a unified
-    /// [`ChannelModel`]. Same degenerate-only default as
-    /// [`DynSystem::probe_with_channel`].
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.make_slot_observed(errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+        observed: bool,
+    ) -> Box<dyn QuerySlot + '_>;
 }
 
 impl<S: System> DynSystem for S
@@ -506,74 +308,6 @@ where
         self.channel().num_buckets()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        run_machine(self.channel(), self.query(key), tune_in)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        run_machine_with_policy(self.channel(), self.query(key), tune_in, errors, policy)
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        Box::new(Walk::new(self.channel(), self.query(key), tune_in))
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(Walk::with_policy(
-            self.channel(),
-            self.query(key),
-            tune_in,
-            errors,
-            policy,
-        ))
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::new(self))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::with_faults(self, errors, policy))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        run_machine_observed(self.channel(), self.query(key), tune_in, errors, policy)
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedWalkSlot::with_faults(self, errors, policy))
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -581,20 +315,34 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        run_machine_with_channel(self.channel(), self.query(key), tune_in, channel, policy)
+        drain(&mut Walk::with_channel(
+            self.channel(),
+            self.query(key),
+            tune_in,
+            channel,
+            policy,
+        ))
     }
 
-    fn probe_recorded_channel(
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        run_machine_observed_channel(self.channel(), self.query(key), tune_in, channel, policy)
+        let mut walk = Walk::with_channel_recorder(
+            self.channel(),
+            self.query(key),
+            tune_in,
+            channel,
+            policy,
+            SpanRecorder::new(),
+        );
+        (drain(&mut walk), walk.recorder().spans)
     }
 
-    fn begin_with_channel(
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
@@ -610,26 +358,23 @@ where
         ))
     }
 
-    fn make_slot_channel(
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
+        observed: bool,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::with_channel(self, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedWalkSlot::with_channel(self, channel, policy))
+        if observed {
+            Box::new(WalkSlot::<_, SpanRecorder>::new(self, channel, policy))
+        } else {
+            Box::new(WalkSlot::<_, NoopRecorder>::new(self, channel, policy))
+        }
     }
 }
 
-/// Drive a [`QueryRun`] to completion — reference implementation used by
-/// tests to check step-wise and one-shot execution agree.
-pub fn drain(run: &mut dyn QueryRun) -> AccessOutcome {
+/// Drive a [`QueryRun`] to completion and return its outcome — the loop
+/// every one-shot probe runs.
+pub fn drain<Q: QueryRun + ?Sized>(run: &mut Q) -> AccessOutcome {
     loop {
         if let WalkStep::Done(out) = run.step() {
             return out;
@@ -640,7 +385,9 @@ pub fn drain(run: &mut dyn QueryRun) -> AccessOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errors_model::ErrorModel;
     use crate::flat::FlatScheme;
+    use crate::machine::run_machine;
     use crate::record::Record;
 
     fn tiny_dataset() -> Dataset {
@@ -670,7 +417,7 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let mut slot = dynsys.make_slot();
+        let mut slot = dynsys.make_slot(ChannelModel::NONE, RetryPolicy::UNBOUNDED, false);
         assert!(slot.is_done(), "fresh slot is idle");
         // One slot serves many sequential queries.
         for key in [Key(0), Key(50), Key(55), Key(20)] {
@@ -693,9 +440,9 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let errors = ErrorModel::new(0.2, 11);
+        let channel = ChannelModel::iid(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(3);
-        let mut slot = dynsys.make_slot_with_faults(errors, policy);
+        let mut slot = dynsys.make_slot(channel, policy, false);
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {
                 slot.start(key, t);
@@ -704,8 +451,8 @@ mod tests {
                         break out;
                     }
                 };
-                assert_eq!(stepped, dynsys.probe_with_policy(key, t, errors, policy));
-                let mut run = dynsys.begin_with_faults(key, t, errors, policy);
+                assert_eq!(stepped, dynsys.probe_with_channel(key, t, channel, policy));
+                let mut run = dynsys.begin(key, t, channel, policy);
                 assert_eq!(drain(run.as_mut()), stepped);
             }
         }
@@ -716,14 +463,14 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let errors = ErrorModel::new(0.2, 11);
+        let channel = ChannelModel::iid(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(3);
-        let mut slot = dynsys.make_slot_observed(errors, policy);
+        let mut slot = dynsys.make_slot(channel, policy, true);
         assert!(slot.spans().is_none(), "unarmed slot has no spans");
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {
-                let plain = dynsys.probe_with_policy(key, t, errors, policy);
-                let (recorded, spans) = dynsys.probe_recorded(key, t, errors, policy);
+                let plain = dynsys.probe_with_channel(key, t, channel, policy);
+                let (recorded, spans) = dynsys.probe_recorded(key, t, channel, policy);
                 assert_eq!(plain, recorded);
                 assert_eq!(spans.total_access(), plain.access);
                 assert_eq!(spans.total_tuning(), plain.tuning);
@@ -749,7 +496,7 @@ mod tests {
         for key in [Key(0), Key(50), Key(55)] {
             for t in [0u64, 123, 4096] {
                 let fast = dynsys.probe(key, t);
-                let mut run = dynsys.begin(key, t);
+                let mut run = dynsys.begin(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
                 let stepped = drain(run.as_mut());
                 assert_eq!(fast, stepped);
             }

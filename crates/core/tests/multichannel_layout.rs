@@ -18,8 +18,8 @@
 //!    buckets and outcomes included.
 
 use bda_core::{
-    Dataset, DynSystem, ErrorModel, FlatScheme, GroupConfig, GroupPayload, IndexedGroupScheme, Key,
-    Params, Record, RetryPolicy, Scheme, StripedScheme, System, Ticks,
+    ChannelModel, Dataset, DynSystem, FlatScheme, GroupConfig, GroupPayload, IndexedGroupScheme,
+    Key, Params, Record, RetryPolicy, Scheme, StripedScheme, System, Ticks,
 };
 use bda_obs::Phase;
 use proptest::prelude::*;
@@ -163,7 +163,7 @@ proptest! {
         let key = Key((seed % n as u64) * 2);
         let g = with.route(key);
         let (out, spans) =
-            with.probe_recorded(key, t, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+            with.probe_recorded(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         let switch = spans.get(Phase::ChannelSwitch);
         if g == 0 {
             prop_assert_eq!(out, without.probe(key, t), "home channel must be switch-free");
@@ -193,12 +193,12 @@ proptest! {
     ) {
         let sys = indexed(n, k, sw);
         let key = Key((seed % n as u64) * 2);
-        let (out, spans) = sys.probe_recorded(key, t, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+        let (out, spans) = sys.probe_recorded(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         prop_assert!(out.found);
         let switch = spans.get(Phase::ChannelSwitch);
         prop_assert_eq!((switch.access, switch.tuning, switch.count), (sw, 0, 1));
         let (absent, spans) =
-            sys.probe_recorded(Key(key.0 + 1), t, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+            sys.probe_recorded(Key(key.0 + 1), t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         prop_assert!(!absent.found);
         let switch = spans.get(Phase::ChannelSwitch);
         prop_assert_eq!((switch.access, switch.tuning, switch.count), (0, 0, 0));
@@ -225,8 +225,8 @@ proptest! {
         // never applies regardless of its value.
         let key = Key(t % (n as u64 * 2 + 1));
         prop_assert_eq!(base.probe(key, t), group.probe(key, t));
-        let (a, sa) = base.probe_recorded(key, t, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
-        let (b, sb) = group.probe_recorded(key, t, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+        let (a, sa) = base.probe_recorded(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+        let (b, sb) = group.probe_recorded(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
     }

@@ -1,8 +1,8 @@
 //! Property tests for the channel substrate and walker.
 
 use bda_core::{
-    Bucket, BurstModel, Channel, DynSystem, ErrorModel, FlatScheme, Key, OutageSchedule, Params,
-    Record, RetryPolicy, Scheme,
+    Bucket, BurstModel, Channel, ChannelModel, DynSystem, ErrorModel, FlatScheme, Key,
+    OutageSchedule, Params, Record, RetryPolicy, Scheme,
 };
 use proptest::prelude::*;
 
@@ -68,7 +68,8 @@ proptest! {
         prop_assert_eq!(out.tuning, out.access, "flat never dozes");
         prop_assert!(!out.aborted);
         // Lossy channel: same verdict, never aborted.
-        let lossy = sys.probe_with_errors(Key(probe_key), t, ErrorModel::new(loss, 7));
+        let channel = ChannelModel::iid(ErrorModel::new(loss, 7));
+        let lossy = sys.probe_with_channel(Key(probe_key), t, channel, RetryPolicy::UNBOUNDED);
         prop_assert_eq!(lossy.found, expect);
         prop_assert!(!lossy.aborted);
         prop_assert!(lossy.access >= out.access || lossy.retries == 0);

@@ -300,7 +300,7 @@ impl ProtocolMachine<HashPayload> for HashMachine {
                     // passed: wait for the beginning of the next broadcast
                     // and restart the protocol (costs one extra bucket read
                     // there, exactly as the paper's Tt analysis accounts).
-                    Action::DozeTo(meta.end + p.next_cycle_delta)
+                    Action::DozeTo(meta.end.saturating_add(p.next_cycle_delta))
                 } else if phys == self.target {
                     // Already at the hashing position.
                     self.state = St::AtSlot;
@@ -309,7 +309,7 @@ impl ProtocolMachine<HashPayload> for HashMachine {
                     // Buckets are uniform, so the arrival time of physical
                     // position `target` is pure arithmetic.
                     self.state = St::AtSlot;
-                    Action::DozeTo(meta.end + (self.target - phys - 1) * size)
+                    Action::DozeTo(meta.end.saturating_add((self.target - phys - 1) * size))
                 }
             }
             St::AtSlot => self.on_slot_bucket(p, meta),
@@ -343,7 +343,10 @@ impl HashMachine {
             self.scan(p)
         } else {
             self.state = St::Scan;
-            Action::DozeTo(meta.end + Ticks::from(shift - 1) * Ticks::from(meta.size))
+            Action::DozeTo(
+                meta.end
+                    .saturating_add(Ticks::from(shift - 1) * Ticks::from(meta.size)),
+            )
         }
     }
 }

@@ -162,7 +162,7 @@ impl ProtocolMachine<HybridPayload> for HybridAttrMachine {
                     } else {
                         // Skip this record's data bucket and any index
                         // segment behind it, straight to the next signature.
-                        Action::DozeTo(meta.end + self.data_size + self.next_after)
+                        Action::DozeTo(meta.end.saturating_add(self.data_size + self.next_after))
                     }
                 }
             }
@@ -184,16 +184,16 @@ impl ProtocolMachine<HybridPayload> for HybridAttrMachine {
                 if self.coverage.is_full() {
                     Action::Finish(Verdict::not_found().with_false_drops(self.false_drops))
                 } else if was_checking {
-                    Action::DozeTo(meta.end + self.next_after)
+                    Action::DozeTo(meta.end.saturating_add(self.next_after))
                 } else {
                     // Alignment read: hop to the next signature bucket.
-                    Action::DozeTo(meta.end + payload.next_sig_delta())
+                    Action::DozeTo(meta.end.saturating_add(payload.next_sig_delta()))
                 }
             }
             HybridPayload::Index { .. } => {
                 // Alignment read after tune-in (or recovery): hop to the
                 // next signature bucket.
-                Action::DozeTo(meta.end + payload.next_sig_delta())
+                Action::DozeTo(meta.end.saturating_add(payload.next_sig_delta()))
             }
         }
     }

@@ -34,6 +34,12 @@ pub trait Recorder {
     /// `span_n` must be indistinguishable from recording the `n`
     /// constituent spans one by one (same totals, count advanced by `n`).
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64);
+
+    /// The per-phase totals recorded so far, for recorders that keep them.
+    /// The default — a recorder that keeps nothing — returns `None`.
+    fn spans(&self) -> Option<&PhaseSpans> {
+        None
+    }
 }
 
 /// The default recorder: observes nothing, costs nothing.
@@ -63,6 +69,10 @@ impl<R: Recorder> Recorder for &mut R {
     #[inline(always)]
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64) {
         (**self).span_n(phase, n, access, tuning);
+    }
+
+    fn spans(&self) -> Option<&PhaseSpans> {
+        (**self).spans()
     }
 }
 
@@ -183,6 +193,10 @@ impl Recorder for SpanRecorder {
     #[inline]
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64) {
         self.spans.add_n(phase, n, access, tuning);
+    }
+
+    fn spans(&self) -> Option<&PhaseSpans> {
+        Some(&self.spans)
     }
 }
 

@@ -217,7 +217,10 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
                         Action::Finish(Verdict::not_found().with_false_drops(self.false_drops))
                     } else {
                         // Doze over the whole frame.
-                        Action::DozeTo(meta.end + Ticks::from(*group_len) * self.data_size)
+                        Action::DozeTo(
+                            meta.end
+                                .saturating_add(Ticks::from(*group_len) * self.data_size),
+                        )
                     }
                 }
             }

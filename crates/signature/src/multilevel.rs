@@ -253,9 +253,9 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
                         Action::Finish(Verdict::not_found().with_false_drops(self.false_drops))
                     } else {
                         // Doze over the frame: group_len × (sig + data).
-                        Action::DozeTo(
-                            meta.end + Ticks::from(*group_len) * (self.sig_size + self.data_size),
-                        )
+                        Action::DozeTo(meta.end.saturating_add(
+                            Ticks::from(*group_len) * (self.sig_size + self.data_size),
+                        ))
                     }
                 }
             }
@@ -279,7 +279,7 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
                         self.scanning = false;
                     }
                     // Doze over this record's data bucket.
-                    Action::DozeTo(meta.end + self.data_size)
+                    Action::DozeTo(meta.end.saturating_add(self.data_size))
                 }
             }
             SigPayload::Data {

@@ -334,7 +334,7 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                         Action::Finish(Verdict::not_found().with_false_drops(self.false_drops))
                     } else {
                         // Doze over the data bucket to the next signature.
-                        Action::DozeTo(meta.end + self.data_size)
+                        Action::DozeTo(meta.end.saturating_add(self.data_size))
                     }
                 }
             }

@@ -6,7 +6,7 @@
 //! decomposition — on lossless and error-prone channels alike.
 
 use bda_core::{
-    run_machine_observed, AccessOutcome, Channel, Dataset, ErrorModel, Key, Params, PhaseSpans,
+    AccessOutcome, Channel, ChannelModel, Dataset, ErrorModel, Key, Params, PhaseSpans,
     ProtocolMachine, Record, RetryPolicy, Scheme, SpanRecorder, System, Ticks, Walk, WalkStep,
 };
 use bda_signature::{
@@ -22,15 +22,19 @@ fn dataset(n: u64) -> Dataset {
     .unwrap()
 }
 
-fn run_ff<M: ProtocolMachine<SigPayload>>(
+/// A span-recording walk with fast-forward on or off; also returns the
+/// number of steps it took.
+fn run_walk<M: ProtocolMachine<SigPayload>>(
     ch: &Channel<SigPayload>,
     machine: M,
     tune_in: Ticks,
-    errors: ErrorModel,
+    channel: ChannelModel,
     policy: RetryPolicy,
+    ff: bool,
 ) -> (AccessOutcome, PhaseSpans, u64) {
-    let mut walk = Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
-    walk.set_fast_forward(true);
+    let recorder = SpanRecorder::new();
+    let mut walk = Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, recorder);
+    walk.set_fast_forward(ff);
     let mut steps = 0u64;
     loop {
         steps += 1;
@@ -55,18 +59,21 @@ where
     for &key in &keys {
         for s in 0..6u64 {
             let tune_in = s * cycle / 6 + 13 * s;
-            for errors in [ErrorModel::NONE, ErrorModel::new(0.15, 0x5EED)] {
+            for channel in [
+                ChannelModel::NONE,
+                ChannelModel::iid(ErrorModel::new(0.15, 0x5EED)),
+            ] {
                 let policy = RetryPolicy::UNBOUNDED;
-                let (slow, slow_spans) =
-                    run_machine_observed(ch, system.query(key), tune_in, errors, policy);
+                let (slow, slow_spans, _) =
+                    run_walk(ch, system.query(key), tune_in, channel, policy, false);
                 let (fast, fast_spans, steps) =
-                    run_ff(ch, system.query(key), tune_in, errors, policy);
+                    run_walk(ch, system.query(key), tune_in, channel, policy, true);
                 assert_eq!(
                     slow,
                     fast,
                     "{} key {key:?} tune_in {tune_in} loss {}",
                     system.scheme_name(),
-                    errors.loss_prob
+                    channel.mean_loss()
                 );
                 assert_eq!(
                     slow_spans,
@@ -74,7 +81,7 @@ where
                     "{} spans diverged for key {key:?} tune_in {tune_in}",
                     system.scheme_name()
                 );
-                if collapses_lossless_scan && errors.loss_prob == 0.0 && !slow.found {
+                if collapses_lossless_scan && channel.is_lossless() && !slow.found {
                     // The whole not-found scan must collapse to a handful
                     // of wakeups: the initial probe, one fast-forwarded
                     // leap per false-dropping frame/record, and the final

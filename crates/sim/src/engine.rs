@@ -39,8 +39,7 @@
 use std::collections::BTreeMap;
 
 use bda_core::{
-    AccessOutcome, ChannelModel, DynSystem, ErrorModel, Key, QuerySlot, RetryPolicy, Ticks,
-    WalkStep,
+    AccessOutcome, ChannelModel, DynSystem, Key, QuerySlot, RetryPolicy, Ticks, WalkStep,
 };
 use bda_obs::{Completion, Gauge, MetricsHub, WindowSpec};
 
@@ -72,9 +71,9 @@ pub struct EngineStats {
     /// Corrupted bucket transmissions clients recovered from (or abandoned
     /// at) across all completed requests — always 0 on a lossless channel.
     pub corrupt_reads: u64,
-    /// Requests whose [`RetryPolicy`] gave up (truthful
-    /// [`AccessOutcome::abandoned`] outcomes; always 0 under
-    /// [`RetryPolicy::UNBOUNDED`]).
+    /// Requests whose client gave up (truthful
+    /// [`AccessOutcome::abandoned`] outcomes: the [`RetryPolicy`] ran out,
+    /// or the clock reached `Ticks::MAX`).
     pub abandoned: u64,
     /// Stale-machine restarts across all completed requests: times a walk
     /// discarded its protocol machine and re-anchored on the live broadcast
@@ -235,26 +234,18 @@ impl<'a> Engine<'a> {
     /// A fresh engine for `system` with an empty arena, over a lossless
     /// channel.
     pub fn new(system: &'a dyn DynSystem) -> Self {
-        Engine::with_faults(system, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
+        Engine::with_channel(system, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
     }
 
-    /// A fresh engine whose clients all experience the error-prone channel
-    /// `errors` and recover per `policy` — the fault-injection testbed.
+    /// A fresh engine whose clients all experience `channel` (i.i.d. or
+    /// burst loss, with or without outage windows) and recover per
+    /// `policy` — the fault-injection testbed.
     ///
     /// Corruption is a pure function of each bucket occurrence's absolute
     /// broadcast instant and the model seed, so the slab engine, the
     /// reference heap engine and the direct walker see *identical*
     /// corruption for the same request — the property the
     /// `engine_lossy_equiv` differential suite pins.
-    pub fn with_faults(system: &'a dyn DynSystem, errors: ErrorModel, policy: RetryPolicy) -> Self {
-        Engine::with_channel(system, errors.into(), policy)
-    }
-
-    /// A fresh engine whose clients all experience the unified
-    /// [`ChannelModel`] `channel` (i.i.d. or burst loss, with or without
-    /// outage windows) and recover per `policy`. With a degenerate channel
-    /// (`ChannelModel::from(errors)`) this is bit-identical to
-    /// [`Engine::with_faults`].
     pub fn with_channel(
         system: &'a dyn DynSystem,
         channel: ChannelModel,
@@ -369,12 +360,11 @@ impl<'a> Engine<'a> {
             }
             None => {
                 let id = u32::try_from(self.slots.len()).expect("client population fits in u32");
-                self.slots.push(if self.obs.is_some() {
-                    self.system
-                        .make_slot_channel_observed(self.channel, self.policy)
-                } else {
-                    self.system.make_slot_channel(self.channel, self.policy)
-                });
+                self.slots.push(self.system.make_slot(
+                    self.channel,
+                    self.policy,
+                    self.obs.is_some(),
+                ));
                 self.meta.push(ClientMeta {
                     arrival,
                     key,
@@ -561,85 +551,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Run a batch of requests through the event engine and return their
-/// outcomes (in arrival order).
-///
-/// `requests` are `(arrival time, key)` pairs; arrivals need not be sorted.
-/// Concurrent clients interleave: the engine always advances the globally
-/// earliest pending event, exactly like a real shared broadcast medium.
-pub fn run_requests(system: &dyn DynSystem, requests: &[(Ticks, Key)]) -> Vec<CompletedRequest> {
-    Engine::new(system).run_batch(requests)
-}
-
-/// [`run_requests`] over an error-prone channel with a client retry
-/// policy.
-pub fn run_requests_with_faults(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> Vec<CompletedRequest> {
-    Engine::with_faults(system, errors, policy).run_batch(requests)
-}
-
-/// [`run_requests`] over a unified [`ChannelModel`] (burst loss, outage
-/// windows, or both) with a client retry policy.
-pub fn run_requests_channel(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> Vec<CompletedRequest> {
-    Engine::with_channel(system, channel, policy).run_batch(requests)
-}
-
-/// [`run_requests_channel`] with the observability layer switched on.
-pub fn run_requests_channel_observed(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> (Vec<CompletedRequest>, MetricsHub) {
-    let mut engine = Engine::with_channel(system, channel, policy);
-    engine.enable_metrics();
-    let completed = engine.run_batch(requests);
-    let hub = engine.take_metrics().expect("metrics were enabled");
-    (completed, hub)
-}
-
-/// [`run_requests_channel_observed`] with time-resolved collection: the
-/// returned hub carries a windowed time series (windows of `width` ticks)
-/// whose sums equal the aggregates exactly.
-pub fn run_requests_channel_windowed(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    width: u64,
-) -> (Vec<CompletedRequest>, MetricsHub) {
-    let mut engine = Engine::with_channel(system, channel, policy);
-    engine.enable_metrics_windowed(WindowSpec::new(width));
-    let completed = engine.run_batch(requests);
-    let hub = engine.take_metrics().expect("metrics were enabled");
-    (completed, hub)
-}
-
-/// [`run_requests_with_faults`] with the observability layer switched on:
-/// returns the completed requests together with the run's [`MetricsHub`]
-/// (per-phase spans, access/tuning/retry histograms, engine gauges).
-pub fn run_requests_observed(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (Vec<CompletedRequest>, MetricsHub) {
-    let mut engine = Engine::with_faults(system, errors, policy);
-    engine.enable_metrics();
-    let completed = engine.run_batch(requests);
-    let hub = engine.take_metrics().expect("metrics were enabled");
-    (completed, hub)
-}
-
 pub mod reference {
     //! The naive per-request engine the slab design replaced: one
     //! `Box<dyn QueryRun>` per request, every wake-up an individual entry
@@ -652,34 +563,10 @@ pub mod reference {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// Reference implementation of [`super::run_requests`]: identical
-    /// outcomes, naive scheduling.
+    /// Reference implementation of [`Engine::run_batch`] over an engine
+    /// built with [`Engine::with_channel`]: identical outcomes, naive
+    /// scheduling — the oracle side of every differential suite.
     pub fn run_requests_reference(
-        system: &dyn DynSystem,
-        requests: &[(Ticks, Key)],
-    ) -> Vec<CompletedRequest> {
-        run_requests_reference_with_faults(
-            system,
-            requests,
-            ErrorModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        )
-    }
-
-    /// Reference implementation of [`super::run_requests_with_faults`]:
-    /// the oracle side of the lossy differential suite.
-    pub fn run_requests_reference_with_faults(
-        system: &dyn DynSystem,
-        requests: &[(Ticks, Key)],
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Vec<CompletedRequest> {
-        run_requests_reference_channel(system, requests, errors.into(), policy)
-    }
-
-    /// Reference implementation of [`super::run_requests_channel`]: the
-    /// oracle side of the burst/outage differential suite.
-    pub fn run_requests_reference_channel(
         system: &dyn DynSystem,
         requests: &[(Ticks, Key)],
         channel: ChannelModel,
@@ -701,7 +588,7 @@ pub mod reference {
         while let Some(Reverse((_t, _s, i, kind))) = queue.pop() {
             if kind == 0 {
                 let (arrival, key) = requests[i];
-                runs[i] = Some(system.begin_with_channel(key, arrival, channel, policy));
+                runs[i] = Some(system.begin(key, arrival, channel, policy));
             }
             let run = runs[i].as_mut().expect("client exists while stepping");
             match run.step() {
@@ -730,7 +617,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{Dataset, FlatScheme, Params, Record, Scheme};
+    use bda_core::{Dataset, ErrorModel, FlatScheme, Params, Record, Scheme};
 
     fn system() -> impl DynSystem {
         let ds = Dataset::new((0..32).map(|i| Record::keyed(i * 2)).collect()).unwrap();
@@ -742,7 +629,7 @@ mod tests {
         let sys = system();
         let requests: Vec<(Ticks, Key)> =
             (0..200u64).map(|i| (i * 137, Key((i % 32) * 2))).collect();
-        let results = run_requests(&sys, &requests);
+        let results = Engine::new(&sys).run_batch(&requests);
         assert_eq!(results.len(), requests.len());
         for (r, &(t, k)) in results.iter().zip(&requests) {
             assert_eq!(r.arrival, t);
@@ -761,7 +648,7 @@ mod tests {
             (99999u64, Key(4)),
             (1u64, Key(6)),
         ];
-        let results = run_requests(&sys, &requests);
+        let results = Engine::new(&sys).run_batch(&requests);
         // Results come back in request order regardless of arrival order.
         for (r, &(t, k)) in results.iter().zip(&requests) {
             assert_eq!((r.arrival, r.key), (t, k));
@@ -773,7 +660,7 @@ mod tests {
     fn simultaneous_arrivals_complete_identically() {
         let sys = system();
         let requests = vec![(1234u64, Key(8)); 10];
-        let results = run_requests(&sys, &requests);
+        let results = Engine::new(&sys).run_batch(&requests);
         for w in results.windows(2) {
             assert_eq!(w[0].outcome, w[1].outcome);
         }
@@ -782,7 +669,7 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let sys = system();
-        assert!(run_requests(&sys, &[]).is_empty());
+        assert!(Engine::new(&sys).run_batch(&[]).is_empty());
     }
 
     #[test]
@@ -791,8 +678,13 @@ mod tests {
         let requests: Vec<(Ticks, Key)> = (0..500u64)
             .map(|i| ((i * 7919) % 100_000, Key((i % 40) * 2)))
             .collect();
-        let slab = run_requests(&sys, &requests);
-        let naive = reference::run_requests_reference(&sys, &requests);
+        let slab = Engine::new(&sys).run_batch(&requests);
+        let naive = reference::run_requests_reference(
+            &sys,
+            &requests,
+            ChannelModel::NONE,
+            RetryPolicy::UNBOUNDED,
+        );
         assert_eq!(slab, naive);
     }
 
@@ -824,7 +716,7 @@ mod tests {
         assert!(engine.slots.len() <= 16, "arena capped at max_in_flight");
         assert!(engine.stats().peak_in_flight <= 16);
         // Outcomes equal batch mode's, request by request.
-        let batch = run_requests(&sys, &requests);
+        let batch = Engine::new(&sys).run_batch(&requests);
         results.sort_by_key(|r| r.arrival);
         for (s, b) in results.iter().zip(&batch) {
             assert_eq!(s, b);
@@ -836,7 +728,7 @@ mod tests {
         let sys = system();
         let requests: Vec<(Ticks, Key)> =
             (0..200u64).map(|i| (i * 17, Key((i % 32) * 2))).collect();
-        let batch = run_requests(&sys, &requests);
+        let batch = Engine::new(&sys).run_batch(&requests);
         // cap = 1 (fully serialized), cap = population (never blocks),
         // cap > population (slack never used).
         for cap in [1, requests.len(), requests.len() * 2] {
@@ -887,16 +779,16 @@ mod tests {
     #[test]
     fn faulty_engine_matches_direct_walker_and_counts_degradation() {
         let sys = system();
-        let errors = ErrorModel::new(0.15, 0xFA11);
+        let channel = ChannelModel::iid(ErrorModel::new(0.15, 0xFA11));
         let policy = RetryPolicy::bounded(2);
         let requests: Vec<(Ticks, Key)> =
             (0..300u64).map(|i| (i * 613, Key((i % 32) * 2))).collect();
-        let mut engine = Engine::with_faults(&sys, errors, policy);
+        let mut engine = Engine::with_channel(&sys, channel, policy);
         let results = engine.run_batch(&requests);
         let mut retries = 0u64;
         let mut abandoned = 0u64;
         for (r, &(t, k)) in results.iter().zip(&requests) {
-            let direct = sys.probe_with_policy(k, t, errors, policy);
+            let direct = sys.probe_with_channel(k, t, channel, policy);
             assert_eq!(r.outcome, direct, "slab ≡ walker under loss at t={t}");
             retries += u64::from(r.outcome.retries);
             abandoned += u64::from(r.outcome.abandoned);
@@ -916,16 +808,16 @@ mod tests {
         let sys = system();
         let requests: Vec<(Ticks, Key)> =
             (0..100u64).map(|i| (i * 137, Key((i % 32) * 2))).collect();
-        let plain = run_requests(&sys, &requests);
-        let faulty =
-            run_requests_with_faults(&sys, &requests, ErrorModel::NONE, RetryPolicy::default());
+        let plain = Engine::new(&sys).run_batch(&requests);
+        let faulty = Engine::with_channel(&sys, ChannelModel::NONE, RetryPolicy::default())
+            .run_batch(&requests);
         assert_eq!(plain, faulty);
-        let strict = run_requests_with_faults(
+        let strict = Engine::with_channel(
             &sys,
-            &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::bounded(0).with_deadline(1),
-        );
+        )
+        .run_batch(&requests);
         assert_eq!(plain, strict, "policies are no-ops without corruption");
     }
 
@@ -933,12 +825,15 @@ mod tests {
     fn observed_engine_matches_plain_and_accounts_every_tick() {
         use bda_obs::Gauge;
         let sys = system();
-        let errors = ErrorModel::new(0.10, 0x0B5);
+        let channel = ChannelModel::iid(ErrorModel::new(0.10, 0x0B5));
         let policy = RetryPolicy::bounded(3);
         let requests: Vec<(Ticks, Key)> =
             (0..300u64).map(|i| (i * 401, Key((i % 32) * 2))).collect();
-        let plain = run_requests_with_faults(&sys, &requests, errors, policy);
-        let (observed, hub) = run_requests_observed(&sys, &requests, errors, policy);
+        let plain = Engine::with_channel(&sys, channel, policy).run_batch(&requests);
+        let mut engine = Engine::with_channel(&sys, channel, policy);
+        engine.enable_metrics();
+        let observed = engine.run_batch(&requests);
+        let hub = engine.take_metrics().unwrap();
         assert_eq!(plain, observed, "observation must not perturb outcomes");
 
         assert_eq!(hub.completed, requests.len() as u64);

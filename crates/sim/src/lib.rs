@@ -38,18 +38,11 @@ pub mod timeline;
 pub mod updates;
 
 pub use accuracy::AccuracyController;
-pub use engine::{
-    run_requests, run_requests_channel, run_requests_channel_observed,
-    run_requests_channel_windowed, run_requests_observed, run_requests_with_faults,
-    CompletedRequest, Engine, EngineStats,
-};
+pub use engine::{CompletedRequest, Engine, EngineStats};
 pub use reqgen::RequestGenerator;
 pub use results::ResultHandler;
 pub use server::{BroadcastServer, StripedVersionedServer, VersionedServer};
-pub use sharded::{
-    run_requests_partitioned, run_requests_sharded, run_requests_sharded_channel,
-    run_requests_sharded_observed, run_requests_sharded_with_faults, ShardRun, ShardedEngine,
-};
+pub use sharded::{run_requests_partitioned, ShardRun, ShardedEngine};
 pub use simulator::{SimConfig, SimReport, Simulator};
 pub use stats::{student_t_quantile, Summary, Welford};
 pub use timeline::{append_scheme_timeline, perfetto_trace, replay_spans, SpanSegment};

@@ -1,13 +1,12 @@
 //! The broadcast server (paper §3, `BroadcastServer`) and its dynamic
 //! counterpart, [`VersionedServer`].
 
+use bda_core::scheme::drain;
 use bda_core::{
-    channel_model_for, error_model_for, even_partition, patch_outcome, patch_spans, remix_seed,
-    run_versioned, run_versioned_observed, run_versioned_observed_channel,
-    run_versioned_with_channel, run_versioned_with_policy, AccessOutcome, ChannelModel, Dataset,
-    DynSystem, Epoch, ErrorModel, GroupConfig, Key, ObservedVersionedSlot, Params, PhaseSpans,
-    ProgramTimeline, QueryRun, QuerySlot, Record, Result, RetryPolicy, Scheme, SwitchedRun, System,
-    Ticks, VersionedSlot, VersionedWalk, WalkStep,
+    channel_model_for, even_partition, patch_outcome, patch_spans, remix_seed, AccessOutcome,
+    ChannelModel, Dataset, DynSystem, Epoch, GroupConfig, Key, NoopRecorder, Params, PhaseSpans,
+    ProgramTimeline, QueryRun, QuerySlot, Record, Result, RetryPolicy, Scheme, SpanRecorder,
+    SwitchedRun, System, Ticks, VersionedSlot, VersionedWalk, WalkStep,
 };
 
 use crate::updates::{UpdateSpec, UpdateStream};
@@ -209,78 +208,6 @@ where
         self.timeline.epoch(0).system.channel().num_buckets()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        run_versioned(&self.timeline, key, tune_in)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        run_versioned_with_policy(&self.timeline, key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        run_versioned_with_policy(&self.timeline, key, tune_in, errors, policy)
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        Box::new(VersionedWalk::new(&self.timeline, key, tune_in))
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(VersionedWalk::with_policy(
-            &self.timeline,
-            key,
-            tune_in,
-            errors,
-            policy,
-        ))
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::new(&self.timeline))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::with_faults(&self.timeline, errors, policy))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        run_versioned_observed(&self.timeline, key, tune_in, errors, policy)
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedVersionedSlot::with_faults(
-            &self.timeline,
-            errors,
-            policy,
-        ))
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -288,20 +215,34 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        run_versioned_with_channel(&self.timeline, key, tune_in, channel, policy)
+        drain(&mut VersionedWalk::with_channel(
+            &self.timeline,
+            key,
+            tune_in,
+            channel,
+            policy,
+        ))
     }
 
-    fn probe_recorded_channel(
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        run_versioned_observed_channel(&self.timeline, key, tune_in, channel, policy)
+        let mut walk = VersionedWalk::with_channel_recorder(
+            &self.timeline,
+            key,
+            tune_in,
+            channel,
+            policy,
+            SpanRecorder::new(),
+        );
+        (drain(&mut walk), walk.recorder().spans)
     }
 
-    fn begin_with_channel(
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
@@ -317,24 +258,25 @@ where
         ))
     }
 
-    fn make_slot_channel(
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
+        observed: bool,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::with_channel(&self.timeline, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedVersionedSlot::with_channel(
-            &self.timeline,
-            channel,
-            policy,
-        ))
+        if observed {
+            Box::new(VersionedSlot::<_, SpanRecorder>::new(
+                &self.timeline,
+                channel,
+                policy,
+            ))
+        } else {
+            Box::new(VersionedSlot::<_, NoopRecorder>::new(
+                &self.timeline,
+                channel,
+                policy,
+            ))
+        }
     }
 }
 
@@ -430,10 +372,12 @@ impl<S: System> StripedVersionedServer<S> {
             .saturating_sub(1)
     }
 
-    fn route_with_cost(&self, key: Key) -> (usize, Ticks) {
+    /// The channel for `key` and the retune cost a client tuning in at
+    /// `tune_in` pays, cut short where it would pass `Ticks::MAX`.
+    fn route_with_cost(&self, key: Key, tune_in: Ticks) -> (usize, Ticks) {
         let g = self.route(key);
         let sw = if g == 0 { 0 } else { self.switch_cost };
-        (g, sw)
+        (g, sw.min(Ticks::MAX - tune_in))
     }
 }
 
@@ -496,14 +440,10 @@ where
     S::Machine: 'static,
 {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.server.route_with_cost(key);
+        let (g, sw) = self.server.route_with_cost(key, tune_in);
         let ch = &self.server.channels[g];
         let model = channel_model_for(self.base, g as u32);
-        let mut inner = if self.observed {
-            ch.make_slot_channel_observed(model, self.policy)
-        } else {
-            ch.make_slot_channel(model, self.policy)
-        };
+        let mut inner = ch.make_slot(model, self.policy, self.observed);
         inner.set_fast_forward(self.ff);
         inner.start(key, tune_in.saturating_add(sw));
         self.inner = Some(inner);
@@ -575,107 +515,6 @@ where
         self.channels.iter().map(DynSystem::num_buckets).sum()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(self.channels[g].probe(key, tune_in.saturating_add(sw)), sw)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(
-            self.channels[g].probe_with_policy(
-                key,
-                tune_in.saturating_add(sw),
-                error_model_for(errors, g as u32),
-                policy,
-            ),
-            sw,
-        )
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin(key, tune_in.saturating_add(sw));
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin_with_faults(
-            key,
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(
-            self,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-            false,
-        ))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, errors.into(), policy, false))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let (out, spans) = self.channels[g].probe_recorded(
-            key,
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, errors.into(), policy, true))
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -683,27 +522,25 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(
-            self.channels[g].probe_with_channel(
-                key,
-                tune_in.saturating_add(sw),
-                channel_model_for(channel, g as u32),
-                policy,
-            ),
-            sw,
-        )
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let out = self.channels[g].probe_with_channel(
+            key,
+            tune_in.saturating_add(sw),
+            channel_model_for(channel, g as u32),
+            policy,
+        );
+        patch_outcome(out, sw)
     }
 
-    fn probe_recorded_channel(
+    fn probe_recorded(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let (out, spans) = self.channels[g].probe_recorded_channel(
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let (out, spans) = self.channels[g].probe_recorded(
             key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
@@ -712,15 +549,15 @@ where
         (patch_outcome(out, sw), patch_spans(spans, sw))
     }
 
-    fn begin_with_channel(
+    fn begin(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin_with_channel(
+        let (g, sw) = self.route_with_cost(key, tune_in);
+        let run = self.channels[g].begin(
             key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
@@ -733,20 +570,13 @@ where
         }
     }
 
-    fn make_slot_channel(
+    fn make_slot(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
+        observed: bool,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, channel, policy, false))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, channel, policy, true))
+        Box::new(RoutedVersionedSlot::new(self, channel, policy, observed))
     }
 }
 
@@ -782,37 +612,34 @@ mod tests {
         fn num_buckets(&self) -> usize {
             0
         }
-        fn probe(&self, _: Key, _: Ticks) -> AccessOutcome {
-            unimplemented!("silent channel answers no queries")
-        }
-        fn probe_with_errors(&self, _: Key, _: Ticks, _: ErrorModel) -> AccessOutcome {
-            unimplemented!()
-        }
-        fn probe_with_policy(
+        fn probe_with_channel(
             &self,
             _: Key,
             _: Ticks,
-            _: ErrorModel,
+            _: ChannelModel,
             _: RetryPolicy,
         ) -> AccessOutcome {
-            unimplemented!()
+            unimplemented!("silent channel answers no queries")
         }
-        fn begin(&self, _: Key, _: Ticks) -> Box<dyn QueryRun + '_> {
-            unimplemented!()
-        }
-        fn begin_with_faults(
+        fn probe_recorded(
             &self,
             _: Key,
             _: Ticks,
-            _: ErrorModel,
+            _: ChannelModel,
+            _: RetryPolicy,
+        ) -> (AccessOutcome, PhaseSpans) {
+            unimplemented!()
+        }
+        fn begin(
+            &self,
+            _: Key,
+            _: Ticks,
+            _: ChannelModel,
             _: RetryPolicy,
         ) -> Box<dyn QueryRun + '_> {
             unimplemented!()
         }
-        fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-            unimplemented!()
-        }
-        fn make_slot_with_faults(&self, _: ErrorModel, _: RetryPolicy) -> Box<dyn QuerySlot + '_> {
+        fn make_slot(&self, _: ChannelModel, _: RetryPolicy, _: bool) -> Box<dyn QuerySlot + '_> {
             unimplemented!()
         }
     }

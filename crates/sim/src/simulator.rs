@@ -6,7 +6,7 @@
 //! each, results checked against the accuracy controller after every
 //! round), and end (result extraction).
 
-use bda_core::{ChannelModel, DynSystem, ErrorModel, RetryPolicy, Ticks};
+use bda_core::{ChannelModel, DynSystem, RetryPolicy, Ticks};
 use bda_datagen::{Arrivals, Popularity, QueryWorkload};
 use bda_obs::{Completion, Histogram, MetricsHub, WindowSpec};
 
@@ -57,15 +57,10 @@ pub struct SimConfig {
     /// classic single engine inline. Steady-state and direct-walker modes
     /// ignore it.
     pub shards: usize,
-    /// Fault injection: per-transmission bucket corruption every client
-    /// sees ([`ErrorModel::NONE`], the default, is a perfect channel).
-    /// Honored identically by the event engine and the direct walker.
-    pub errors: ErrorModel,
-    /// Correlated-fault injection: when set, this unified [`ChannelModel`]
-    /// (burst loss and/or outage windows) **overrides** `errors` on every
-    /// execution driver. `None` (the default) keeps the i.i.d. `errors`
-    /// path, bit for bit.
-    pub channel: Option<ChannelModel>,
+    /// Fault injection: the channel every client sees — i.i.d. or burst
+    /// loss, outage windows, or ([`ChannelModel::NONE`], the default) a
+    /// perfect channel. Honored identically by every execution driver.
+    pub channel: ChannelModel,
     /// Client-side recovery policy for corrupt reads (default: retry
     /// forever — the paper's implicit assumption).
     pub retry: RetryPolicy,
@@ -101,8 +96,7 @@ impl SimConfig {
             event_driven: true,
             max_in_flight: None,
             shards: 1,
-            errors: ErrorModel::NONE,
-            channel: None,
+            channel: ChannelModel::NONE,
             retry: RetryPolicy::UNBOUNDED,
             updates: None,
             window: None,
@@ -119,13 +113,6 @@ impl SimConfig {
             max_rounds: 200,
             ..SimConfig::paper()
         }
-    }
-
-    /// The channel every execution driver runs behind: the explicit
-    /// correlated `channel` when set, otherwise the i.i.d. `errors` lifted
-    /// into a degenerate (bit-identical) [`ChannelModel`].
-    pub fn effective_channel(&self) -> ChannelModel {
-        self.channel.unwrap_or_else(|| self.errors.into())
     }
 
     fn controller(&self) -> AccuracyController {
@@ -334,7 +321,7 @@ impl<'a> Simulator<'a> {
         let mut engine = ShardedEngine::with_channel(
             self.system,
             self.config.shards.max(1),
-            self.config.effective_channel(),
+            self.config.channel,
             self.config.retry,
         );
         if observe && self.config.event_driven {
@@ -366,10 +353,10 @@ impl<'a> Simulator<'a> {
                     .iter()
                     .map(|&(arrival, key)| {
                         let outcome = if let Some(hub) = walker_hub.as_deref_mut() {
-                            let (outcome, spans) = self.system.probe_recorded_channel(
+                            let (outcome, spans) = self.system.probe_recorded(
                                 key,
                                 arrival,
-                                self.config.effective_channel(),
+                                self.config.channel,
                                 self.config.retry,
                             );
                             hub.complete_at(
@@ -390,7 +377,7 @@ impl<'a> Simulator<'a> {
                             self.system.probe_with_channel(
                                 key,
                                 arrival,
-                                self.config.effective_channel(),
+                                self.config.channel,
                                 self.config.retry,
                             )
                         };
@@ -429,11 +416,7 @@ impl<'a> Simulator<'a> {
     ) -> (SimReport, Option<MetricsHub>) {
         let controller = self.config.controller();
         let mut handler = ResultHandler::new();
-        let mut engine = Engine::with_channel(
-            self.system,
-            self.config.effective_channel(),
-            self.config.retry,
-        );
+        let mut engine = Engine::with_channel(self.system, self.config.channel, self.config.retry);
         if observe {
             match self.config.window {
                 Some(width) => engine.enable_metrics_windowed(WindowSpec::new(width)),
@@ -507,7 +490,7 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{FlatScheme, Params, Scheme};
+    use bda_core::{ErrorModel, FlatScheme, Params, Scheme};
     use bda_datagen::DatasetBuilder;
 
     #[test]
@@ -599,7 +582,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.10, 7);
+        cfg.channel = ChannelModel::iid(ErrorModel::new(0.10, 7));
         let lossy = Simulator::uniform(&sys, &ds, cfg).run();
         assert_eq!(lossy.aborted, 0);
         assert_eq!(lossy.abandoned, 0, "unbounded retries never abandon");
@@ -610,7 +593,7 @@ mod tests {
         assert_eq!(lossy.retry_hist.len(), lossy.requests);
 
         // Degradation: lossy access time exceeds the lossless baseline.
-        cfg.errors = ErrorModel::NONE;
+        cfg.channel = ChannelModel::NONE;
         let clean = Simulator::uniform(&sys, &ds, cfg).run();
         assert!(lossy.mean_access() > clean.mean_access());
         assert_eq!(clean.retries, 0);
@@ -624,7 +607,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.25, 13);
+        cfg.channel = ChannelModel::iid(ErrorModel::new(0.25, 13));
         cfg.retry = RetryPolicy::bounded(1);
         let report = Simulator::uniform(&sys, &ds, cfg).run();
         assert_eq!(report.aborted, 0);
@@ -643,7 +626,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.05, 3);
+        cfg.channel = ChannelModel::iid(ErrorModel::new(0.05, 3));
         for (event_driven, cap) in [(true, None), (true, Some(24)), (false, None)] {
             cfg.event_driven = event_driven;
             cfg.max_in_flight = cap;
@@ -672,7 +655,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.10, 5);
+        cfg.channel = ChannelModel::iid(ErrorModel::new(0.10, 5));
         let single = Simulator::uniform(&sys, &ds, cfg).run();
         for shards in [0, 1, 3, 4] {
             cfg.shards = shards;

@@ -54,7 +54,7 @@ pub fn replay_spans(
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, Vec<SpanSegment>) {
-    let mut slot = system.make_slot_channel_observed(channel, policy);
+    let mut slot = system.make_slot(channel, policy, true);
     slot.set_fast_forward(false);
     slot.start(key, arrival);
     let mut prev = slot.spans().copied().unwrap_or_default();
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn lossy_replay_matches_the_direct_walker() {
         let sys = system();
-        let channel = ChannelModel::from(ErrorModel::new(0.2, 0xFA11));
+        let channel = ChannelModel::iid(ErrorModel::new(0.2, 0xFA11));
         let policy = RetryPolicy::bounded(2);
         for i in 0..20u64 {
             let (t, k) = (i * 613, Key((i % 32) * 2));
@@ -240,13 +240,10 @@ mod tests {
         let sys = system();
         let requests: Vec<(Ticks, Key)> =
             (0..50u64).map(|i| (i * 137, Key((i % 32) * 2))).collect();
-        let (_, hub) = crate::engine::run_requests_channel_windowed(
-            &sys,
-            &requests,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-            64,
-        );
+        let mut engine = crate::engine::Engine::new(&sys);
+        engine.enable_metrics_windowed(bda_obs::WindowSpec::new(64));
+        engine.run_batch(&requests);
+        let hub = engine.take_metrics().expect("metrics were enabled");
         let series = hub.windows.expect("windowed run carries a series");
         let build = || {
             perfetto_trace(

@@ -16,11 +16,8 @@ use bda_core::{
     Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{
-    run_requests_sharded_channel, run_requests_with_faults, CompletedRequest, Engine, UpdateSpec,
-    VersionedServer,
-};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &bda_core::Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
@@ -120,11 +117,11 @@ fn all_drivers_agree_under_burst_and_outages() {
                 fast, slow,
                 "{name}/{label}: fast-forward changed an outcome"
             );
-            let oracle = run_requests_reference_channel(sys.as_ref(), &requests, channel, policy);
+            let oracle = run_requests_reference(sys.as_ref(), &requests, channel, policy);
             assert_eq!(fast, oracle, "{name}/{label}: slab ≠ reference oracle");
             for shards in shard_counts() {
-                let sharded =
-                    run_requests_sharded_channel(sys.as_ref(), &requests, shards, channel, policy);
+                let sharded = ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy)
+                    .run_batch(&requests);
                 assert_eq!(fast, sharded, "{name}/{label}: {shards} shards diverged");
             }
             for (i, r) in fast.iter().enumerate() {
@@ -153,12 +150,12 @@ fn degenerate_burst_is_bit_identical_to_iid() {
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 72);
     let seed = 0xFA57;
-    let errors = ErrorModel::new(0.15, seed);
+    let channel = ChannelModel::iid(ErrorModel::new(0.15, seed));
     let degenerate = ChannelModel::burst(BurstModel::new(0.3, 0.2, 0.15, 0.15, seed));
     for policy in [RetryPolicy::UNBOUNDED, RetryPolicy::bounded(2)] {
         for sys in all_systems(&ds, &params) {
-            let iid = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let burst = bda_sim::run_requests_channel(sys.as_ref(), &requests, degenerate, policy);
+            let iid = Engine::with_channel(sys.as_ref(), channel, policy).run_batch(&requests);
+            let burst = Engine::with_channel(sys.as_ref(), degenerate, policy).run_batch(&requests);
             assert_eq!(
                 iid,
                 burst,
@@ -206,12 +203,12 @@ fn churning_program_agrees_across_drivers_under_burst() {
         },
     ] {
         let server = scheme_run(&ds, &params, spec).unwrap();
-        let slab = bda_sim::run_requests_channel(server.as_ref(), &requests, channel, policy);
-        let oracle = run_requests_reference_channel(server.as_ref(), &requests, channel, policy);
+        let slab = Engine::with_channel(server.as_ref(), channel, policy).run_batch(&requests);
+        let oracle = run_requests_reference(server.as_ref(), &requests, channel, policy);
         assert_eq!(slab, oracle, "{}: slab ≠ reference", server.scheme_name());
         for shards in shard_counts() {
-            let sharded =
-                run_requests_sharded_channel(server.as_ref(), &requests, shards, channel, policy);
+            let sharded = ShardedEngine::with_channel(server.as_ref(), shards, channel, policy)
+                .run_batch(&requests);
             assert_eq!(
                 slab,
                 sharded,
@@ -253,15 +250,14 @@ fn outage_recovery_is_truthful() {
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 72);
     // One third of the air is dead, in long spans.
-    let channel =
-        ChannelModel::iid(ErrorModel::NONE).with_outages(OutageSchedule::new(1_500, 500, 0xDEAD));
+    let channel = ChannelModel::NONE.with_outages(OutageSchedule::new(1_500, 500, 0xDEAD));
     let policy = RetryPolicy::bounded(2);
     let present: std::collections::BTreeSet<u64> = ds.keys().map(|k| k.0).collect();
     let mut any_retries = false;
     let mut any_abandoned = false;
     for sys in all_systems(&ds, &params) {
         let done: Vec<CompletedRequest> =
-            bda_sim::run_requests_channel(sys.as_ref(), &requests, channel, policy);
+            Engine::with_channel(sys.as_ref(), channel, policy).run_batch(&requests);
         for r in &done {
             assert!(!r.outcome.aborted, "{}", sys.scheme_name());
             any_retries |= r.outcome.retries > 0;

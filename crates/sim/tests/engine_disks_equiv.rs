@@ -10,16 +10,13 @@
 //! percentiles) merges exactly too.
 
 use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, FlatDisksScheme, Key, Params,
-    RetryPolicy, Scheme, Ticks,
+    ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, FlatDisksScheme, Key,
+    Params, RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_signature::SimpleSignatureDisksScheme;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
-use bda_sim::{
-    run_requests_observed, run_requests_sharded_observed, run_requests_sharded_with_faults,
-    run_requests_with_faults, CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer,
-};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer};
 
 /// 15 % loss — the suite's error-prone channel.
 const LOSS: f64 = 0.15;
@@ -78,10 +75,13 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
 
 /// Lossless with unbounded retries, and 15 % loss with a bounded policy
 /// so abandonment paths are exercised on stratified programs too.
-fn fault_modes() -> [(ErrorModel, RetryPolicy); 2] {
+fn fault_modes() -> [(ChannelModel, RetryPolicy); 2] {
     [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(LOSS, 0xFA57), RetryPolicy::bounded(2)),
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ChannelModel::iid(ErrorModel::new(LOSS, 0xFA57)),
+            RetryPolicy::bounded(2),
+        ),
     ]
 }
 
@@ -89,11 +89,11 @@ fn fault_modes() -> [(ErrorModel, RetryPolicy); 2] {
 fn run_with_ff(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 ) -> (Vec<CompletedRequest>, u64) {
-    let mut engine = Engine::with_faults(sys, errors, policy);
+    let mut engine = Engine::with_channel(sys, channel, policy);
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
@@ -108,25 +108,25 @@ fn disk_outcomes_agree_across_all_drivers_and_shard_counts() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         for sys in disk_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
-            let mut single = Engine::with_faults(sys.as_ref(), errors, policy);
+            let mut single = Engine::with_channel(sys.as_ref(), channel, policy);
             let baseline = single.run_batch(&requests);
-            let oracle =
-                run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+            let oracle = run_requests_reference(sys.as_ref(), &requests, channel, policy);
             let name = sys.scheme_name();
             assert_eq!(
                 baseline, oracle,
                 "{name}: slab engine ≠ reference oracle on stratified program"
             );
             for shards in shard_counts() {
-                let mut engine = ShardedEngine::with_faults(sys.as_ref(), shards, errors, policy);
+                let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy);
                 let merged = engine.run_batch(&requests);
                 assert_eq!(
-                    baseline, merged,
+                    baseline,
+                    merged,
                     "{name} outcomes drifted at {shards} shards (loss={})",
-                    errors.loss_prob
+                    channel.mean_loss()
                 );
                 assert_eq!(
                     single.stats().outcome_counters(),
@@ -149,11 +149,11 @@ fn fast_forward_is_exact_on_stratified_programs() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         for sys in disk_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 72, 8 * sys.cycle_len());
-            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, true);
+            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, false);
             let name = sys.scheme_name();
             assert_eq!(fast, slow, "{name}: fast-forward changed a disk outcome");
             assert!(
@@ -171,14 +171,14 @@ fn fast_forward_is_exact_on_stratified_programs() {
     let (fast, fe) = run_with_ff(
         &sys,
         &requests,
-        ErrorModel::NONE,
+        ChannelModel::NONE,
         RetryPolicy::UNBOUNDED,
         true,
     );
     let (slow, se) = run_with_ff(
         &sys,
         &requests,
-        ErrorModel::NONE,
+        ChannelModel::NONE,
         RetryPolicy::UNBOUNDED,
         false,
     );
@@ -198,11 +198,14 @@ fn observed_metrics_merge_exactly_on_stratified_programs() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(LOSS, 0x717);
+    let channel = ChannelModel::iid(ErrorModel::new(LOSS, 0x717));
     let policy = RetryPolicy::bounded(3);
     for sys in disk_systems(&ds, &params) {
         let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
-        let (baseline, hub) = run_requests_observed(sys.as_ref(), &requests, errors, policy);
+        let mut single = Engine::with_channel(sys.as_ref(), channel, policy);
+        single.enable_metrics();
+        let baseline = single.run_batch(&requests);
+        let hub = single.take_metrics().unwrap();
         // Span sums must tie out against the outcomes they measure.
         let access_sum: u128 = baseline.iter().map(|r| u128::from(r.outcome.access)).sum();
         let name = sys.scheme_name();
@@ -212,8 +215,10 @@ fn observed_metrics_merge_exactly_on_stratified_programs() {
             "{name}: access histogram sum ≠ outcome access sum"
         );
         for shards in shard_counts() {
-            let (merged, sharded_hub) =
-                run_requests_sharded_observed(sys.as_ref(), &requests, shards, errors, policy);
+            let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy);
+            engine.enable_metrics();
+            let merged = engine.run_batch(&requests);
+            let sharded_hub = engine.take_metrics().unwrap();
             assert_eq!(baseline, merged, "{name}, {shards} shards");
             assert_eq!(
                 hub.spans, sharded_hub.spans,
@@ -307,10 +312,10 @@ fn churned_stratified_programs_are_shard_invariant() {
         seed: 0xBEEF,
         horizon_cycles: 16,
     };
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         with_all_disk_versioned(&ds, &params, spec, &mut |server, span| {
             let requests = request_mix(&ds, &pool, 70, span);
-            let baseline = run_requests_with_faults(server, &requests, errors, policy);
+            let baseline = Engine::with_channel(server, channel, policy).run_batch(&requests);
             let churn_engaged = baseline.iter().any(|r| r.outcome.version_skews > 0);
             assert!(
                 churn_engaged,
@@ -318,14 +323,14 @@ fn churned_stratified_programs_are_shard_invariant() {
                 server.scheme_name()
             );
             for shards in shard_counts() {
-                let merged =
-                    run_requests_sharded_with_faults(server, &requests, shards, errors, policy);
+                let merged = ShardedEngine::with_channel(server, shards, channel, policy)
+                    .run_batch(&requests);
                 assert_eq!(
                     baseline,
                     merged,
                     "{} churn outcomes drifted at {shards} shards (loss={})",
                     server.scheme_name(),
-                    errors.loss_prob
+                    channel.mean_loss()
                 );
             }
         });

@@ -17,10 +17,12 @@
 //! never served from a stale program; a key present throughout is never
 //! missed; no walk ever aborts with a protocol bug.
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, System, Ticks};
+use bda_core::{
+    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, System, Ticks,
+};
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
-use bda_sim::{run_requests, run_requests_with_faults, UpdateSpec, VersionedServer};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{Engine, UpdateSpec, VersionedServer};
 
 /// Update rates the suite sweeps (fraction of records touched per cycle).
 const UPDATE_RATES: [f64; 3] = [0.01, 0.05, 0.20];
@@ -150,8 +152,8 @@ fn zero_update_dynamic_mode_is_bit_identical_to_frozen() {
         );
         assert_eq!(snaps.len(), 1);
         let requests = request_mix(&ds, &pool, 80, 16 * server.cycle_len());
-        let dynamic = run_requests(server, &requests);
-        let fixed = run_requests(baseline, &requests);
+        let dynamic = Engine::new(server).run_batch(&requests);
+        let fixed = Engine::new(baseline).run_batch(&requests);
         assert_eq!(
             dynamic,
             fixed,
@@ -162,10 +164,10 @@ fn zero_update_dynamic_mode_is_bit_identical_to_frozen() {
             assert_eq!(r.outcome.version_skews, 0);
             assert_eq!(r.outcome.stale_restarts, 0);
         }
-        let errors = ErrorModel::new(0.10, 0xFA57);
+        let channel = ChannelModel::iid(ErrorModel::new(0.10, 0xFA57));
         let policy = RetryPolicy::UNBOUNDED;
-        let dynamic = run_requests_with_faults(server, &requests, errors, policy);
-        let fixed = run_requests_with_faults(baseline, &requests, errors, policy);
+        let dynamic = Engine::with_channel(server, channel, policy).run_batch(&requests);
+        let fixed = Engine::with_channel(baseline, channel, policy).run_batch(&requests);
         assert_eq!(dynamic, fixed, "{}: lossy identity", server.scheme_name());
         idx += 1;
     });
@@ -187,11 +189,14 @@ fn slab_reference_and_walker_agree_under_updates() {
             seed: 0xBEEF,
             horizon_cycles: 16,
         };
-        for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0xFA57)] {
+        for channel in [
+            ChannelModel::NONE,
+            ChannelModel::iid(ErrorModel::new(0.10, 0xFA57)),
+        ] {
             with_all_servers(&ds, &params, spec, &mut |server, _snaps, bounds| {
                 let requests = request_mix(&ds, &pool, 60, timeline_span(server, bounds));
-                let slab = run_requests_with_faults(server, &requests, errors, policy);
-                let naive = run_requests_reference_with_faults(server, &requests, errors, policy);
+                let slab = Engine::with_channel(server, channel, policy).run_batch(&requests);
+                let naive = run_requests_reference(server, &requests, channel, policy);
                 assert_eq!(slab.len(), requests.len());
                 for (i, (a, b)) in slab.iter().zip(&naive).enumerate() {
                     assert_eq!(
@@ -200,7 +205,7 @@ fn slab_reference_and_walker_agree_under_updates() {
                         "{} slab vs reference diverged at req {i}, rate {rate}",
                         server.scheme_name()
                     );
-                    let direct = server.probe_with_policy(a.key, a.arrival, errors, policy);
+                    let direct = server.probe_with_channel(a.key, a.arrival, channel, policy);
                     assert_eq!(
                         a.outcome,
                         direct,
@@ -233,7 +238,10 @@ fn verdicts_are_truthful_against_epoch_datasets() {
         seed: 0xABC7,
         horizon_cycles: 16,
     };
-    for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0x717)] {
+    for channel in [
+        ChannelModel::NONE,
+        ChannelModel::iid(ErrorModel::new(0.10, 0x717)),
+    ] {
         with_all_servers(&ds, &params, spec, &mut |server, snaps, bounds| {
             assert!(
                 bounds.len() > 1,
@@ -242,7 +250,7 @@ fn verdicts_are_truthful_against_epoch_datasets() {
             );
             let requests = request_mix(&ds, &pool, 90, timeline_span(server, bounds));
             let completed =
-                run_requests_with_faults(server, &requests, errors, RetryPolicy::UNBOUNDED);
+                Engine::with_channel(server, channel, RetryPolicy::UNBOUNDED).run_batch(&requests);
             let mut skews = 0u64;
             for r in &completed {
                 let o = &r.outcome;

@@ -4,7 +4,7 @@
 //! per-request reference heap it replaced, and its event accounting must
 //! be deterministic run-to-run.
 
-use bda_core::{DynSystem, Key, Params, Scheme, Ticks};
+use bda_core::{ChannelModel, DynSystem, Key, Params, RetryPolicy, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_hash::HashScheme;
 use bda_sim::engine::reference::run_requests_reference;
@@ -68,7 +68,12 @@ proptest! {
         let params = Params::paper();
         for sys in systems(&ds, &params) {
             let slab = Engine::new(sys.as_ref()).run_batch(&requests);
-            let naive = run_requests_reference(sys.as_ref(), &requests);
+            let naive = run_requests_reference(
+                sys.as_ref(),
+                &requests,
+                ChannelModel::NONE,
+                RetryPolicy::UNBOUNDED,
+            );
             prop_assert_eq!(slab.len(), naive.len());
             for (a, b) in slab.iter().zip(&naive) {
                 prop_assert_eq!(a.arrival, b.arrival, "{}", sys.scheme_name());

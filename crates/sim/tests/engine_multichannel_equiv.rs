@@ -25,11 +25,8 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{Completion, MetricsHub};
-use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{
-    run_requests_channel_observed, run_requests_sharded_channel, Engine, StripedVersionedServer,
-    UpdateSpec,
-};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{Engine, ShardedEngine, StripedVersionedServer, UpdateSpec};
 
 /// Every multichannel-capable program shape at one group config: the
 /// striping conformance subset (one scan layout, one hash layout, one
@@ -125,7 +122,7 @@ fn walker_hub(
 ) -> MetricsHub {
     let mut hub = MetricsHub::new();
     for (i, r) in completed.iter().enumerate() {
-        let (out, spans) = sys.probe_recorded_channel(r.key, r.arrival, channel, policy);
+        let (out, spans) = sys.probe_recorded(r.key, r.arrival, channel, policy);
         assert_eq!(
             out,
             r.outcome,
@@ -199,24 +196,21 @@ fn all_drivers_agree_on_multichannel_groups() {
                     fast, slow,
                     "{name}/{label}: fast-forward changed an outcome"
                 );
-                let oracle =
-                    run_requests_reference_channel(sys.as_ref(), &requests, channel, policy);
+                let oracle = run_requests_reference(sys.as_ref(), &requests, channel, policy);
                 assert_eq!(fast, oracle, "{name}/{label}: slab ≠ reference oracle");
                 for shards in shard_counts() {
-                    let sharded = run_requests_sharded_channel(
-                        sys.as_ref(),
-                        &requests,
-                        shards,
-                        channel,
-                        policy,
-                    );
+                    let sharded =
+                        ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy)
+                            .run_batch(&requests);
                     assert_eq!(fast, sharded, "{name}/{label}: {shards} shards diverged");
                 }
                 // Aggregates: the observed slab engine's hub must match a
                 // hub folded from the reference completions plus the
                 // direct walker's recorded spans, component for component.
-                let (observed, slab_hub) =
-                    run_requests_channel_observed(sys.as_ref(), &requests, channel, policy);
+                let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
+                engine.enable_metrics();
+                let observed = engine.run_batch(&requests);
+                let slab_hub = engine.take_metrics().unwrap();
                 assert_eq!(
                     fast, observed,
                     "{name}/{label}: observation perturbed outcomes"
@@ -272,12 +266,12 @@ fn churning_striped_groups_agree_across_drivers() {
     for server in servers {
         let name = server.scheme_name();
         let requests = request_mix(&ds, &pool, 48, 8 * server.cycle_len());
-        let slab = bda_sim::run_requests_channel(server.as_ref(), &requests, channel, policy);
-        let oracle = run_requests_reference_channel(server.as_ref(), &requests, channel, policy);
+        let slab = Engine::with_channel(server.as_ref(), channel, policy).run_batch(&requests);
+        let oracle = run_requests_reference(server.as_ref(), &requests, channel, policy);
         assert_eq!(slab, oracle, "{name}: slab ≠ reference under striped churn");
         for shards in shard_counts() {
-            let sharded =
-                run_requests_sharded_channel(server.as_ref(), &requests, shards, channel, policy);
+            let sharded = ShardedEngine::with_channel(server.as_ref(), shards, channel, policy)
+                .run_batch(&requests);
             assert_eq!(
                 slab, sharded,
                 "{name}: {shards} shards diverged under striped churn"

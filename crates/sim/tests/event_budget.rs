@@ -9,7 +9,7 @@
 //! headroom) but *tiny* versus the slow path: flat at 320 records burns
 //! ~480 events per request bucket-by-bucket; the budget is 4.
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme};
+use bda_core::{ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme};
 use bda_datagen::DatasetBuilder;
 use bda_sim::Engine;
 
@@ -69,7 +69,7 @@ fn scan_heavy_schemes_stay_within_their_event_budget() {
     for (sys, budget) in budgeted_systems(&ds, &params) {
         let requests = request_mix(&ds, &pool, 200, 8 * sys.cycle_len());
         let mut engine =
-            Engine::with_faults(sys.as_ref(), ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+            Engine::with_channel(sys.as_ref(), ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         let done = engine.run_batch(&requests);
         assert_eq!(done.len(), requests.len());
         let ratio = engine.stats().events as f64 / requests.len() as f64;
@@ -95,9 +95,9 @@ fn lossy_event_budget_scales_with_retries_not_cycle_length() {
     let params = Params::paper();
     for (sys, budget) in budgeted_systems(&ds, &params) {
         let requests = request_mix(&ds, &pool, 200, 8 * sys.cycle_len());
-        let mut engine = Engine::with_faults(
+        let mut engine = Engine::with_channel(
             sys.as_ref(),
-            ErrorModel::new(0.15, 0xFA57),
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
             RetryPolicy::bounded(2),
         );
         let done = engine.run_batch(&requests);

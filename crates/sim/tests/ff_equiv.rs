@@ -23,10 +23,13 @@
 //! engine entry points against 16 frozen TSVs, so the corpus pins the
 //! fast-forward path too — no separate leg is needed here.)
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
+use bda_core::{
+    ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, GroupConfig,
+    IndexedGroupScheme, Key, Params, RetryPolicy, Scheme, StripedScheme, Ticks,
+};
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
-use bda_sim::{CompletedRequest, Engine, UpdateSpec, VersionedServer};
+use bda_sim::engine::reference::run_requests_reference;
+use bda_sim::{CompletedRequest, Engine, StripedVersionedServer, UpdateSpec, VersionedServer};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
@@ -82,11 +85,11 @@ fn request_mix(
 fn run_with_ff(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 ) -> (Vec<CompletedRequest>, u64) {
-    let mut engine = Engine::with_faults(sys, errors, policy);
+    let mut engine = Engine::with_channel(sys, channel, policy);
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
@@ -103,16 +106,18 @@ fn fast_forward_engine_matches_slow_engine_and_reference_oracle() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (channel, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 72, 0, 8 * sys.cycle_len());
-            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
-            let oracle =
-                run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, true);
+            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, false);
+            let oracle = run_requests_reference(sys.as_ref(), &requests, channel, policy);
             let name = sys.scheme_name();
             assert_eq!(fast, slow, "{name}: fast-forward changed an outcome");
             assert_eq!(slow, oracle, "{name}: slab engine ≠ reference oracle");
@@ -151,14 +156,14 @@ fn fast_forward_collapses_events_on_scan_heavy_schemes() {
         let (fast, fast_events) = run_with_ff(
             sys.as_ref(),
             &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             true,
         );
         let (slow, slow_events) = run_with_ff(
             sys.as_ref(),
             &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             false,
         );
@@ -181,7 +186,7 @@ fn fast_forward_never_skips_a_corruption_event() {
         .build_with_absent_pool(8)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(0.30, 0xC0DE);
+    let channel = ChannelModel::iid(ErrorModel::new(0.30, 0xC0DE));
     let policy = RetryPolicy::bounded(3);
     for sys in all_systems(&ds, &params) {
         let cycle = sys.cycle_len();
@@ -200,8 +205,8 @@ fn fast_forward_never_skips_a_corruption_event() {
                 requests.push((t, key));
             }
         }
-        let (fast, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-        let (slow, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+        let (fast, _) = run_with_ff(sys.as_ref(), &requests, channel, policy, true);
+        let (slow, _) = run_with_ff(sys.as_ref(), &requests, channel, policy, false);
         let name = sys.scheme_name();
         assert_eq!(fast, slow, "{name}: boundary arrivals diverged under loss");
         let retries: u32 = slow.iter().map(|r| r.outcome.retries).sum();
@@ -218,20 +223,84 @@ fn fast_forward_is_exact_near_ticks_max() {
         .build_with_absent_pool(8)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(0.15, 0xFA57);
+    let channel = ChannelModel::iid(ErrorModel::new(0.15, 0xFA57));
     let policy = RetryPolicy::bounded(2);
     for sys in all_systems(&ds, &params) {
         let cycle = sys.cycle_len();
         let base = Ticks::MAX - 64 * cycle;
         let requests = request_mix(&ds, &pool, 48, base, 4 * cycle);
-        let (fast, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-        let (slow, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+        let (fast, _) = run_with_ff(sys.as_ref(), &requests, channel, policy, true);
+        let (slow, _) = run_with_ff(sys.as_ref(), &requests, channel, policy, false);
         assert_eq!(
             fast,
             slow,
             "{}: outcomes diverged near Ticks::MAX",
             sys.scheme_name()
         );
+    }
+}
+
+/// The clock's end is a truthful give-up: a client whose next bucket would
+/// end past `Ticks::MAX` finishes `abandoned` — never `aborted`, never on a
+/// wrapped clock — on every program shape, through the direct walker and
+/// the slab engine alike.
+#[test]
+fn walks_at_the_clock_end_abandon_on_every_shape() {
+    let ds = DatasetBuilder::new(48, 0x0FF5).build().unwrap();
+    let params = Params::paper();
+    let group = GroupConfig::new(4, 256).unwrap();
+    let mut systems = all_systems(&ds, &params);
+    systems.push(Box::new(
+        DiskScheme::new(bda_hash::HashScheme::new(), DiskConfig::new(3))
+            .build(&ds, &params)
+            .unwrap(),
+    ));
+    systems.push(Box::new(
+        StripedScheme::new(bda_core::FlatScheme, group)
+            .build(&ds, &params)
+            .unwrap(),
+    ));
+    systems.push(Box::new(
+        IndexedGroupScheme::new(group)
+            .unwrap()
+            .build(&ds, &params)
+            .unwrap(),
+    ));
+    systems.push(Box::new(
+        VersionedServer::build(&bda_core::FlatScheme, &ds, &params, UpdateSpec::FROZEN).unwrap(),
+    ));
+    systems.push(Box::new(
+        StripedVersionedServer::build(
+            &bda_core::FlatScheme,
+            &ds,
+            &params,
+            group,
+            UpdateSpec::FROZEN,
+        )
+        .unwrap(),
+    ));
+    // The first key stays on the home channel of a group; the last one
+    // pays the retune.
+    let keys = [ds.record(0).key, ds.record(47).key];
+    let requests: Vec<(Ticks, Key)> = [Ticks::MAX - 1, Ticks::MAX]
+        .into_iter()
+        .flat_map(|t| keys.map(|k| (t, k)))
+        .collect();
+    for sys in &systems {
+        let name = sys.scheme_name();
+        let engine = Engine::new(sys.as_ref()).run_batch(&requests);
+        for (r, &(t, key)) in engine.iter().zip(&requests) {
+            let direct = sys.probe_with_channel(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+            assert_eq!(r.outcome, direct, "{name} at {t}: engine ≠ walker");
+            assert!(
+                direct.abandoned && !direct.aborted && !direct.found,
+                "{name} at {t}: {direct:?}"
+            );
+            assert!(
+                direct.access <= Ticks::MAX - t,
+                "{name} at {t}: clock wrapped"
+            );
+        }
     }
 }
 
@@ -254,10 +323,13 @@ fn fast_forward_never_skips_a_version_skew_event() {
     let span = server.timeline().epochs().last().map_or(0, |e| e.start)
         + 4 * DynSystem::cycle_len(&server);
     let requests = request_mix(&ds, &pool, 72, 0, span);
-    for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0x717)] {
+    for channel in [
+        ChannelModel::NONE,
+        ChannelModel::iid(ErrorModel::new(0.10, 0x717)),
+    ] {
         let policy = RetryPolicy::UNBOUNDED;
-        let (fast, fast_events) = run_with_ff(&server, &requests, errors, policy, true);
-        let (slow, slow_events) = run_with_ff(&server, &requests, errors, policy, false);
+        let (fast, fast_events) = run_with_ff(&server, &requests, channel, policy, true);
+        let (slow, slow_events) = run_with_ff(&server, &requests, channel, policy, false);
         assert_eq!(fast, slow, "churn outcomes diverged");
         assert_eq!(
             fast_events, slow_events,

@@ -12,16 +12,53 @@
 //!    the walker's own degradation counters (corrupt reads ↔ `Retry`
 //!    spans, version skews ↔ `StaleRecovery` spans).
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, Phase, RetryPolicy, Scheme, Ticks};
+use bda_core::{
+    ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, GroupConfig,
+    IndexedGroupScheme, Key, Params, Phase, RetryPolicy, Scheme, StripedScheme, Ticks,
+};
 use bda_datagen::DatasetBuilder;
+use bda_obs::MetricsHub;
 use bda_sim::{
-    run_requests_observed, run_requests_with_faults, SimConfig, Simulator, UpdateSpec,
+    CompletedRequest, Engine, SimConfig, Simulator, StripedVersionedServer, UpdateSpec,
     VersionedServer,
 };
 
-/// Every scheme family in the repo, including the composite hybrid.
+/// The striped groups' shape: four channels, a non-zero retune cost.
+fn group() -> GroupConfig {
+    GroupConfig::new(4, 256).unwrap()
+}
+
+/// Every scheme family in the repo, including the composite hybrid, plus
+/// one program of every other shape: a broadcast-disk program, a striped
+/// group, an indexed group and a (frozen) striped versioned group.
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
+        Box::new(
+            DiskScheme::new(bda_hash::HashScheme::new(), DiskConfig::new(3))
+                .build(ds, p)
+                .unwrap(),
+        ),
+        Box::new(
+            StripedScheme::new(bda_core::FlatScheme, group())
+                .build(ds, p)
+                .unwrap(),
+        ),
+        Box::new(
+            IndexedGroupScheme::new(group())
+                .unwrap()
+                .build(ds, p)
+                .unwrap(),
+        ),
+        Box::new(
+            StripedVersionedServer::build(
+                &bda_btree::DistributedScheme::new(),
+                ds,
+                p,
+                group(),
+                UpdateSpec::FROZEN,
+            )
+            .unwrap(),
+        ),
         Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
         Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
         Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
@@ -62,23 +99,40 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
         .collect()
 }
 
+/// One batch through a plain engine and through an observed one.
+fn plain_and_observed(
+    sys: &dyn DynSystem,
+    requests: &[(Ticks, Key)],
+    channel: ChannelModel,
+    policy: RetryPolicy,
+) -> (Vec<CompletedRequest>, Vec<CompletedRequest>, MetricsHub) {
+    let plain = Engine::with_channel(sys, channel, policy).run_batch(requests);
+    let mut engine = Engine::with_channel(sys, channel, policy);
+    engine.enable_metrics();
+    let observed = engine.run_batch(requests);
+    (plain, observed, engine.take_metrics().unwrap())
+}
+
 /// Observation never perturbs an outcome, and the spans account for every
-/// tick, on all eight schemes — lossless and at 15 % loss with a bounded
-/// (abandoning) policy.
+/// tick, on all eight schemes and every program shape — lossless and at
+/// 15 % loss with a bounded (abandoning) policy.
 #[test]
 fn spans_account_every_tick_on_every_scheme() {
     let (ds, pool) = DatasetBuilder::new(60, 0x0B5E)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (channel, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let (observed, hub) = run_requests_observed(sys.as_ref(), &requests, errors, policy);
+            let (plain, observed, hub) =
+                plain_and_observed(sys.as_ref(), &requests, channel, policy);
             assert_eq!(
                 plain,
                 observed,
@@ -121,7 +175,7 @@ fn spans_account_every_tick_on_every_scheme() {
             // The walker reads exactly one bucket per tune-in — unless that
             // very first read was corrupted, which takes Retry precedence.
             let initial = hub.spans.get(Phase::InitialProbe).count;
-            if errors.loss_prob == 0.0 {
+            if channel.is_lossless() {
                 assert_eq!(
                     initial,
                     requests.len() as u64,
@@ -158,11 +212,16 @@ fn dynamic_spans_attribute_version_skew_to_stale_recovery() {
         let span = server.timeline().epochs().last().map_or(0, |e| e.start)
             + 4 * DynSystem::cycle_len(&server);
         let requests = request_mix(ds, pool, 80, span);
-        for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0x717)] {
+        check_server(&server, &requests);
+    }
+    fn check_server(server: &dyn DynSystem, requests: &[(Ticks, Key)]) {
+        for channel in [
+            ChannelModel::NONE,
+            ChannelModel::iid(ErrorModel::new(0.10, 0x717)),
+        ] {
             let policy = RetryPolicy::UNBOUNDED;
-            let plain = run_requests_with_faults(&server, &requests, errors, policy);
-            let (observed, hub) = run_requests_observed(&server, &requests, errors, policy);
-            let name = DynSystem::scheme_name(&server);
+            let (plain, observed, hub) = plain_and_observed(server, requests, channel, policy);
+            let name = server.scheme_name();
             assert_eq!(plain, observed, "{name}: observation perturbed outcomes");
             let (access, tuning, skews) = plain.iter().fold((0u64, 0u64, 0u64), |acc, r| {
                 (
@@ -216,6 +275,17 @@ fn dynamic_spans_attribute_version_skew_to_stale_recovery() {
         spec,
     );
     check(bda_hybrid::HybridScheme::new(), &ds, &pool, &params, spec);
+    // A churning striped group: each channel's versioned slot under the
+    // routing slot.
+    let server =
+        StripedVersionedServer::build(&bda_core::FlatScheme, &ds, &params, group(), spec).unwrap();
+    let span = (0..server.num_channels())
+        .filter_map(|g| server.channel_server(g).timeline().epochs().last())
+        .map(|e| e.start)
+        .max()
+        .unwrap_or(0)
+        + 4 * DynSystem::cycle_len(&server);
+    check_server(&server, &request_mix(&ds, &pool, 80, span));
 }
 
 /// Index-navigating schemes split their tuning time between the index
@@ -227,10 +297,10 @@ fn phase_mix_reflects_each_schemes_structure() {
     let params = Params::paper();
     for sys in all_systems(&ds, &params) {
         let requests = request_mix(&ds, &[Key(1)], 60, 8 * sys.cycle_len());
-        let (_, hub) = run_requests_observed(
+        let (_, _, hub) = plain_and_observed(
             sys.as_ref(),
             &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
         );
         let idx = hub.spans.get(Phase::IndexTraversal);
@@ -258,7 +328,6 @@ fn phase_mix_reflects_each_schemes_structure() {
 /// totals for the skipped buckets) are bit-identical.
 #[test]
 fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
-    use bda_sim::Engine;
     let (ds, pool) = DatasetBuilder::new(60, 0x0FF0)
         .build_with_absent_pool(10)
         .unwrap();
@@ -267,15 +336,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     fn observed_with_ff(
         sys: &dyn DynSystem,
         requests: &[(Ticks, Key)],
-        errors: ErrorModel,
+        channel: ChannelModel,
         policy: RetryPolicy,
         ff: bool,
-    ) -> (
-        Vec<bda_sim::CompletedRequest>,
-        bda_obs::MetricsHub,
-        bda_sim::EngineStats,
-    ) {
-        let mut engine = Engine::with_faults(sys, errors, policy);
+    ) -> (Vec<CompletedRequest>, MetricsHub, bda_sim::EngineStats) {
+        let mut engine = Engine::with_channel(sys, channel, policy);
         engine.set_fast_forward(ff);
         engine.enable_metrics();
         let done = engine.run_batch(requests);
@@ -283,11 +348,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
         (done, hub, engine.stats())
     }
 
-    fn check(sys: &dyn DynSystem, requests: &[(Ticks, Key)], errors: ErrorModel, what: &str) {
+    fn check(sys: &dyn DynSystem, requests: &[(Ticks, Key)], channel: ChannelModel, what: &str) {
         let policy = RetryPolicy::bounded(2);
-        let plain = run_requests_with_faults(sys, requests, errors, policy);
-        let (fast, fast_hub, fast_stats) = observed_with_ff(sys, requests, errors, policy, true);
-        let (slow, slow_hub, slow_stats) = observed_with_ff(sys, requests, errors, policy, false);
+        let plain = Engine::with_channel(sys, channel, policy).run_batch(requests);
+        let (fast, fast_hub, fast_stats) = observed_with_ff(sys, requests, channel, policy, true);
+        let (slow, slow_hub, slow_stats) = observed_with_ff(sys, requests, channel, policy, false);
         let name = sys.scheme_name();
         assert_eq!(
             plain, fast,
@@ -312,11 +377,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
 
     for sys in all_systems(&ds, &params) {
         let requests = request_mix(&ds, &pool, 80, 8 * sys.cycle_len());
-        check(sys.as_ref(), &requests, ErrorModel::NONE, "lossless");
+        check(sys.as_ref(), &requests, ChannelModel::NONE, "lossless");
         check(
             sys.as_ref(),
             &requests,
-            ErrorModel::new(0.15, 0xFA57),
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
             "15% loss",
         );
     }
@@ -334,11 +399,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     let span = server.timeline().epochs().last().map_or(0, |e| e.start)
         + 4 * DynSystem::cycle_len(&server);
     let requests = request_mix(&ds, &pool, 80, span);
-    check(&server, &requests, ErrorModel::NONE, "20% churn");
+    check(&server, &requests, ChannelModel::NONE, "20% churn");
     check(
         &server,
         &requests,
-        ErrorModel::new(0.10, 0x717),
+        ChannelModel::iid(ErrorModel::new(0.10, 0x717)),
         "20% churn + loss",
     );
 }
@@ -350,27 +415,25 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
 /// a pure refinement, never a perturbation.
 #[test]
 fn timeline_observed_runs_are_bit_identical_to_plain_runs() {
-    use bda_sim::run_requests_channel_windowed;
     let (ds, pool) = DatasetBuilder::new(60, 0x0B5E)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (channel, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let (aggregate_only, agg_hub) =
-                run_requests_observed(sys.as_ref(), &requests, errors, policy);
-            let (windowed, win_hub) = run_requests_channel_windowed(
-                sys.as_ref(),
-                &requests,
-                errors.into(),
-                policy,
-                sys.cycle_len(),
-            );
+            let (plain, aggregate_only, agg_hub) =
+                plain_and_observed(sys.as_ref(), &requests, channel, policy);
+            let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
+            engine.enable_metrics_windowed(bda_obs::WindowSpec::new(sys.cycle_len()));
+            let windowed = engine.run_batch(&requests);
+            let win_hub = engine.take_metrics().unwrap();
             let name = sys.scheme_name();
             assert_eq!(plain, windowed, "{name}: windowing perturbed outcomes");
             assert_eq!(aggregate_only, windowed);

@@ -22,10 +22,7 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{sample_indices, MetricsHub, WindowSpec, WindowStats};
-use bda_sim::{
-    run_requests_channel, run_requests_channel_windowed, Engine, ShardedEngine, UpdateSpec,
-    VersionedServer,
-};
+use bda_sim::{Engine, ShardedEngine, UpdateSpec, VersionedServer};
 
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -153,14 +150,14 @@ fn window_sums_equal_aggregates_on_every_scheme() {
     for (channel, policy, what) in [
         (ChannelModel::NONE, RetryPolicy::UNBOUNDED, "lossless"),
         (
-            ChannelModel::from(ErrorModel::new(0.15, 0xFA57)),
+            ChannelModel::iid(ErrorModel::new(0.15, 0xFA57)),
             RetryPolicy::bounded(2),
             "15% loss",
         ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_channel(sys.as_ref(), &requests, channel, policy);
+            let plain = Engine::with_channel(sys.as_ref(), channel, policy).run_batch(&requests);
             let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
             engine.enable_metrics_windowed(WindowSpec::new(sys.cycle_len()));
             let observed = engine.run_batch(&requests);
@@ -197,23 +194,17 @@ fn window_sums_stay_exact_under_churn() {
     for (channel, what) in [
         (ChannelModel::NONE, "20% churn"),
         (
-            ChannelModel::from(ErrorModel::new(0.10, 0x717)),
+            ChannelModel::iid(ErrorModel::new(0.10, 0x717)),
             "20% churn + loss",
         ),
     ] {
         let policy = RetryPolicy::UNBOUNDED;
-        let plain = run_requests_channel(&server, &requests, channel, policy);
-        let (observed, hub) = run_requests_channel_windowed(
-            &server,
-            &requests,
-            channel,
-            policy,
-            DynSystem::cycle_len(&server),
-        );
-        assert_eq!(plain, observed, "[{what}]: observation perturbed outcomes");
+        let plain = Engine::with_channel(&server, channel, policy).run_batch(&requests);
         let mut engine = Engine::with_channel(&server, channel, policy);
         engine.enable_metrics_windowed(WindowSpec::new(DynSystem::cycle_len(&server)));
-        engine.run_batch(&requests);
+        let observed = engine.run_batch(&requests);
+        let hub = engine.take_metrics().unwrap();
+        assert_eq!(plain, observed, "[{what}]: observation perturbed outcomes");
         assert_totals_exact("versioned-flat", what, &hub, &plain, engine.stats());
         assert!(
             hub.windows.as_ref().unwrap().totals().version_skews > 0,
@@ -275,7 +266,7 @@ fn per_window_counters_are_shard_count_invariant() {
     let sys = bda_btree::DistributedScheme::new()
         .build(&ds, &params)
         .unwrap();
-    let channel = ChannelModel::from(ErrorModel::new(0.10, 0xC0DE));
+    let channel = ChannelModel::iid(ErrorModel::new(0.10, 0xC0DE));
     let policy = RetryPolicy::bounded(3);
     let requests = request_mix(&ds, &pool, 160, 12 * DynSystem::cycle_len(&sys));
 

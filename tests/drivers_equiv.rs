@@ -3,7 +3,7 @@
 //! must be *identical* — per request, for every scheme.
 
 use bda::prelude::*;
-use bda::sim::run_requests;
+use bda::sim::Engine;
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -37,7 +37,7 @@ fn event_engine_equals_direct_walker_per_request() {
     }
 
     for sys in systems(&ds, &params) {
-        let evented = run_requests(sys.as_ref(), &requests);
+        let evented = Engine::new(sys.as_ref()).run_batch(&requests);
         for (res, &(t, k)) in evented.iter().zip(&requests) {
             let direct = sys.probe(k, t);
             assert_eq!(
@@ -76,7 +76,12 @@ fn stepping_runs_report_monotone_time() {
     let ds = DatasetBuilder::new(100, 3).build().unwrap();
     let params = Params::paper();
     for sys in systems(&ds, &params) {
-        let mut run = sys.begin(ds.record(50).key, 777);
+        let mut run = sys.begin(
+            ds.record(50).key,
+            777,
+            ChannelModel::NONE,
+            RetryPolicy::UNBOUNDED,
+        );
         let mut last = 0u64;
         loop {
             match run.step() {

@@ -182,15 +182,15 @@ proptest! {
         t in any::<u64>(),
     ) {
         let params = Params::paper();
-        let errors = bda::core::ErrorModel::new(loss, err_seed);
+        let channel = ChannelModel::iid(bda::core::ErrorModel::new(loss, err_seed));
         for sys in all_systems(&ds, &params) {
             let t = t % (4 * sys.cycle_len());
             let key = ds.record(ds.len() / 3).key;
-            let hit = sys.probe_with_errors(key, t, errors);
+            let hit = sys.probe_with_channel(key, t, channel, RetryPolicy::UNBOUNDED);
             prop_assert!(hit.found, "{} lost a key at loss {loss}", sys.scheme_name());
             prop_assert!(!hit.aborted);
             prop_assert!(hit.tuning <= hit.access);
-            let miss = sys.probe_with_errors(pool[0], t, errors);
+            let miss = sys.probe_with_channel(pool[0], t, channel, RetryPolicy::UNBOUNDED);
             prop_assert!(!miss.found, "{} hallucinated", sys.scheme_name());
             prop_assert!(!miss.aborted, "{} gave up", sys.scheme_name());
         }
@@ -210,7 +210,7 @@ proptest! {
         for sys in all_systems(&ds, &params) {
             let t = t % (2 * sys.cycle_len());
             let key = ds.record(key_sel.index(ds.len())).key;
-            let mut run = sys.begin(key, t);
+            let mut run = sys.begin(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
             let mut listened = 0u64;
             let mut reads = 0u32;
             let mut last_end = t;
