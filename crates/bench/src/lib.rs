@@ -146,8 +146,9 @@ impl Cli {
             c
         };
         cfg.seed = self.seed;
-        // Sweeps use the direct walker (statistically identical to the
-        // event engine; see the drivers_equiv integration test).
+        // Sweeps use the direct walker: bit-identical to the event engine
+        // per request (see the drivers_equiv integration test) with no
+        // scheduling overhead.
         cfg.event_driven = false;
         cfg
     }

@@ -120,6 +120,8 @@ pub struct FlatMachine {
 }
 
 impl ProtocolMachine<FlatPayload> for FlatMachine {
+    const FAST_FORWARD: bool = true;
+
     fn start(&mut self, _tune_in: Ticks) -> Action {
         self.coverage.clear();
         Action::ReadNext

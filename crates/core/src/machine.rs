@@ -100,6 +100,14 @@ impl Verdict {
 /// never from global knowledge of the cycle. This keeps the simulation
 /// honest: a protocol can only be as clever as a real client.
 pub trait ProtocolMachine<P> {
+    /// Whether this machine overrides [`ProtocolMachine::fast_forward`].
+    /// A fast-forwarding [`Walk`] only engages the hook when this is
+    /// `true`, so machines that keep the no-op default (pointer-chasing
+    /// indexes, hashing, broadcast disks) pay nothing for it: no cursor
+    /// set-up, no extra `first_complete_at` per read. Set it together with
+    /// the override.
+    const FAST_FORWARD: bool = false;
+
     /// Called once when the client tunes in at absolute time `tune_in`.
     fn start(&mut self, tune_in: Ticks) -> Action;
 
@@ -168,7 +176,7 @@ pub trait ProtocolMachine<P> {
     /// bucket (key match, signature hit, coverage completion, corruption,
     /// probe-budget edge).
     ///
-    /// Called by an opted-in [`Walk`] while a `ReadNext` is pending,
+    /// Called by a fast-forwarding [`Walk`] while a `ReadNext` is pending,
     /// *before* the next bucket is read. The machine may consume any
     /// prefix of upcoming buckets whose slow-path handling it can
     /// reproduce exactly: for each consumed bucket it must apply the same
@@ -185,7 +193,8 @@ pub trait ProtocolMachine<P> {
     /// abandon logic is never duplicated.
     ///
     /// The default consumes nothing — the conservative "one bucket at a
-    /// time" behaviour every machine starts with.
+    /// time" behaviour every machine starts with. A walk only calls this
+    /// when [`ProtocolMachine::FAST_FORWARD`] is `true`.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, P>) {
         let _ = ctx;
     }
@@ -481,14 +490,17 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         }
     }
 
-    /// Opt into analytical fast-forward: while a `ReadNext` is pending the
+    /// Turn on analytical fast-forward: while a `ReadNext` is pending the
     /// walk lets the machine bulk-consume uninteresting buckets (see
     /// [`ProtocolMachine::fast_forward`]) before the next real read, so a
     /// linear scan takes O(1) steps per *interesting* bucket instead of
     /// one per bucket. Outcomes, access/tuning accounting, probe counts
     /// and per-phase spans are tick-identical to the slow path; only the
     /// [`WalkStep`] granularity (and hence the event count of an engine
-    /// driving the walk) changes. Off by default.
+    /// driving the walk) changes. Off by default; the one-shot drains
+    /// ([`run_machine`], [`crate::DynSystem::probe_with_channel`],
+    /// [`crate::DynSystem::probe_recorded`]) turn it on. A no-op for
+    /// machines whose [`ProtocolMachine::FAST_FORWARD`] is `false`.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.ff = enabled;
     }
@@ -565,19 +577,17 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
 
     /// Let the machine bulk-consume uninteresting buckets, then fold its
     /// aggregate accounting into the walk as if each had been stepped.
-    fn run_fast_forward(&mut self) {
+    /// Returns the landing bucket — `first_complete_at(now)` for the
+    /// clock the walk is left at — or `None` when fast-forward stayed
+    /// disengaged.
+    fn run_fast_forward(&mut self) -> Option<(usize, Ticks)> {
         // Disengage within four cycles of the clock's end: the slow path's
         // saturating arithmetic must stay observable, and a fast-forward
         // engagement never advances further than two cycles.
-        if self
-            .ch
+        self.ch
             .cycle_len()
             .checked_mul(4)
-            .and_then(|w| self.now.checked_add(w))
-            .is_none()
-        {
-            return;
-        }
+            .and_then(|w| self.now.checked_add(w))?;
         let (idx, start) = self.ch.first_complete_at(self.now);
         let mut ctx = FastForward {
             ch: self.ch,
@@ -594,7 +604,7 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         };
         self.machine.fast_forward(&mut ctx);
         if ctx.probes == 0 {
-            return;
+            return Some((idx, start));
         }
         // Every consumed read was clean (machines stop before corrupt
         // buckets), and a clean read resets the outage streak on the
@@ -611,6 +621,10 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 }
             }
         }
+        // Every consumed bucket ends where the cursor starts, so the clock
+        // sits on the cursor: it is the bucket the landing read takes.
+        debug_assert_eq!(ctx.now, ctx.start);
+        Some((ctx.idx, ctx.start))
     }
 
     /// Apply a back-off of `cycles` whole cycles to a post-corruption
@@ -642,8 +656,9 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 if self.probes >= self.max_probes {
                     return self.exhaust();
                 }
-                if self.ff && self.probes > 0 {
-                    self.run_fast_forward();
+                let mut landing = None;
+                if M::FAST_FORWARD && self.ff && self.probes > 0 {
+                    landing = self.run_fast_forward();
                     if self.probes >= self.max_probes {
                         // The scan burned the whole budget on uninteresting
                         // buckets; the next read gives up, as it would have
@@ -651,7 +666,7 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                         return self.exhaust();
                     }
                 }
-                let (idx, start) = self.ch.first_complete_at(self.now);
+                let (idx, start) = landing.unwrap_or_else(|| self.ch.first_complete_at(self.now));
                 let bucket = self.ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
                 let Some(end) = start.checked_add(size) else {
@@ -672,11 +687,12 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     size: size as u32,
                     version: bucket.version,
                 };
+                let corrupt = self.channel.corrupted(start);
                 if R::ENABLED {
                     // Corruption trumps structure (the client cannot use the
                     // payload); the very first read is the initial probe; all
                     // other reads classify by what the machine sees in them.
-                    let phase = if self.channel.corrupted(start) {
+                    let phase = if corrupt {
                         Phase::Retry
                     } else if self.probes == 1 {
                         Phase::InitialProbe
@@ -688,7 +704,7 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     };
                     self.recorder.span(phase, end - from, end - from);
                 }
-                let next = if self.channel.corrupted(start) {
+                let next = if corrupt {
                     self.retries += 1;
                     if self.policy.gives_up(self.retries, self.now - self.tune_in) {
                         return self.abandon();
@@ -745,13 +761,16 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
 
 /// Drive a machine to completion over a lossless channel and return its
 /// outcome — the fast path used by benchmarks and analytical-validation
-/// sweeps.
+/// sweeps. Runs with analytical fast-forward on (see
+/// [`Walk::set_fast_forward`]).
 pub fn run_machine<P, M: ProtocolMachine<P>>(
     ch: &Channel<P>,
     machine: M,
     tune_in: Ticks,
 ) -> AccessOutcome {
-    crate::scheme::drain(&mut Walk::new(ch, machine, tune_in))
+    let mut walk = Walk::new(ch, machine, tune_in);
+    walk.set_fast_forward(true);
+    crate::scheme::drain(&mut walk)
 }
 
 #[cfg(test)]
@@ -1095,6 +1114,8 @@ mod tests {
     }
 
     impl ProtocolMachine<usize> for SkipTo {
+        const FAST_FORWARD: bool = true;
+
         fn start(&mut self, _t: Ticks) -> Action {
             Action::ReadNext
         }
@@ -1203,6 +1224,8 @@ mod tests {
     fn fast_forward_aborts_on_the_same_probe_as_the_slow_path() {
         struct NeverMatch;
         impl ProtocolMachine<usize> for NeverMatch {
+            const FAST_FORWARD: bool = true;
+
             fn start(&mut self, _t: Ticks) -> Action {
                 Action::ReadNext
             }
@@ -1216,7 +1239,7 @@ mod tests {
             }
         }
         let c = ch(&[10, 20]);
-        let slow = run_machine(&c, NeverMatch, 7);
+        let slow = run_lossy(&c, NeverMatch, 7, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
         let (fast, _, _) = run_ff(&c, NeverMatch, 7, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
         assert!(slow.aborted && fast.aborted);
         assert_eq!(slow, fast, "budget abort is tick-identical");
@@ -1229,7 +1252,13 @@ mod tests {
         let c = ch(&[10, 20, 30, 40]);
         let cycle = c.cycle_len();
         for t in [Ticks::MAX - 3 * cycle, Ticks::MAX - 4 * cycle + 1] {
-            let slow = run_machine(&c, SkipTo { target: 2, seen: 0 }, t);
+            let slow = run_lossy(
+                &c,
+                SkipTo { target: 2, seen: 0 },
+                t,
+                ErrorModel::NONE,
+                RetryPolicy::UNBOUNDED,
+            );
             let (fast, _, _) = run_ff(
                 &c,
                 SkipTo { target: 2, seen: 0 },
@@ -1240,6 +1269,122 @@ mod tests {
             assert!(slow.found);
             assert_eq!(slow, fast, "saturating clock behaviour is preserved");
         }
+    }
+
+    /// Keeps the default `FAST_FORWARD = false` but overrides the hook
+    /// with a trap: a walk that calls it anyway panics.
+    struct HookTrap;
+
+    impl ProtocolMachine<usize> for HookTrap {
+        fn start(&mut self, _t: Ticks) -> Action {
+            Action::ReadNext
+        }
+        fn on_bucket(&mut self, p: &usize, _m: BucketMeta) -> Action {
+            if *p == 3 {
+                Action::Finish(Verdict::found())
+            } else {
+                Action::ReadNext
+            }
+        }
+        fn on_corrupt(&mut self, _m: BucketMeta) -> Action {
+            Action::ReadNext
+        }
+        fn fast_forward(&mut self, _ctx: &mut FastForward<'_, usize>) {
+            panic!("fast_forward called on a machine without FAST_FORWARD");
+        }
+    }
+
+    struct TrapSystem(Channel<usize>);
+
+    impl crate::scheme::System for TrapSystem {
+        type Payload = usize;
+        type Machine = HookTrap;
+        fn scheme_name(&self) -> &'static str {
+            "trap"
+        }
+        fn channel(&self) -> &Channel<usize> {
+            &self.0
+        }
+        fn channel_mut(&mut self) -> &mut Channel<usize> {
+            &mut self.0
+        }
+        fn query(&self, _key: crate::Key) -> HookTrap {
+            HookTrap
+        }
+    }
+
+    #[test]
+    fn the_hook_only_runs_for_machines_that_declare_it() {
+        use crate::scheme::{DynSystem, QuerySlot, WalkSlot};
+        let sys = TrapSystem(ch(&[10, 20, 30, 40, 50]));
+        for errors in [ErrorModel::NONE, ErrorModel::new(0.3, 5)] {
+            let channel = ChannelModel::iid(errors);
+            let policy = RetryPolicy::UNBOUNDED;
+            let mut slot = WalkSlot::<_, NoopRecorder>::new(&sys, channel, policy);
+            slot.set_fast_forward(true);
+            for tune_in in [0u64, 7, 61, 149] {
+                let slow = run_lossy(&sys.0, HookTrap, tune_in, errors, policy);
+                assert!(slow.found);
+                let (fast, _, _) = run_ff(&sys.0, HookTrap, tune_in, errors, policy);
+                assert_eq!(fast, slow, "fast-forwarding walk, t={tune_in}");
+                assert_eq!(
+                    sys.probe_with_channel(crate::Key(0), tune_in, channel, policy),
+                    slow
+                );
+                slot.start(crate::Key(0), tune_in);
+                let stepped = loop {
+                    if let WalkStep::Done(out) = slot.step() {
+                        break out;
+                    }
+                };
+                assert_eq!(stepped, slow, "fast-forwarding slot, t={tune_in}");
+            }
+        }
+    }
+
+    #[test]
+    fn direct_flat_probe_collapses_to_a_handful_of_steps() {
+        use crate::flat::FlatScheme;
+        use crate::params::Params;
+        use crate::record::{Dataset, Record};
+        use crate::scheme::{drain, one_shot_walk, DynSystem, Scheme};
+        use crate::Key;
+        // The walker-side twin of the engine's event budget: a one-shot
+        // flat probe is an initial read, one fast-forwarded landing read
+        // and completion, however far the scan runs.
+        let ds = Dataset::new((0..320).map(|i| Record::keyed(i * 2)).collect()).unwrap();
+        let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
+        assert_eq!(sys.num_buckets(), 320);
+        let cycle = sys.cycle_len();
+        for key in [Key(0), Key(318), Key(638), Key(1), Key(639)] {
+            for tune_in in [0u64, cycle / 2 + 7, cycle - 1] {
+                let mut walk = one_shot_walk(
+                    &sys,
+                    key,
+                    tune_in,
+                    ChannelModel::NONE,
+                    RetryPolicy::UNBOUNDED,
+                    NoopRecorder,
+                );
+                let mut steps = 0u32;
+                let out = loop {
+                    steps += 1;
+                    if let WalkStep::Done(out) = walk.step() {
+                        break out;
+                    }
+                };
+                assert!(steps <= 4, "key={key:?} t={tune_in}: {steps} steps");
+                assert_eq!(out.found, key.0 % 2 == 0);
+                assert_eq!(out, sys.probe(key, tune_in));
+                let slow = drain(
+                    sys.begin(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
+                        .as_mut(),
+                );
+                assert_eq!(out, slow, "key={key:?} t={tune_in}");
+            }
+        }
+        // An absent key scans the whole cycle: 320 reads in those steps.
+        assert_eq!(sys.probe(Key(1), 0).probes, 320);
     }
 
     #[test]

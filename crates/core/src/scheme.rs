@@ -315,12 +315,13 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        drain(&mut Walk::with_channel(
-            self.channel(),
-            self.query(key),
+        drain(&mut one_shot_walk(
+            self,
+            key,
             tune_in,
             channel,
             policy,
+            NoopRecorder,
         ))
     }
 
@@ -331,17 +332,13 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        let mut walk = Walk::with_channel_recorder(
-            self.channel(),
-            self.query(key),
-            tune_in,
-            channel,
-            policy,
-            SpanRecorder::new(),
-        );
+        let mut walk = one_shot_walk(self, key, tune_in, channel, policy, SpanRecorder::new());
         (drain(&mut walk), walk.recorder().spans)
     }
 
+    // Bucket by bucket on purpose: this is the stepping run the heap
+    // reference oracle drives, and the slow twin the equivalence suites
+    // hold every fast-forwarding drain to.
     fn begin(
         &self,
         key: Key,
@@ -370,6 +367,29 @@ where
             Box::new(WalkSlot::<_, NoopRecorder>::new(self, channel, policy))
         }
     }
+}
+
+/// The walk every one-shot drain of a [`System`] runs: analytical
+/// fast-forward on, which collapses scans to O(1) steps for machines with
+/// [`ProtocolMachine::FAST_FORWARD`] and changes nothing for the rest.
+pub(crate) fn one_shot_walk<S: System, R: Recorder>(
+    system: &S,
+    key: Key,
+    tune_in: Ticks,
+    channel: ChannelModel,
+    policy: RetryPolicy,
+    recorder: R,
+) -> Walk<'_, S::Payload, S::Machine, R> {
+    let mut walk = Walk::with_channel_recorder(
+        system.channel(),
+        system.query(key),
+        tune_in,
+        channel,
+        policy,
+        recorder,
+    );
+    walk.set_fast_forward(true);
+    walk
 }
 
 /// Drive a [`QueryRun`] to completion and return its outcome — the loop

@@ -165,6 +165,8 @@ pub struct IntegratedMachine {
 }
 
 impl ProtocolMachine<SigPayload> for IntegratedMachine {
+    const FAST_FORWARD: bool = true;
+
     fn start(&mut self, _tune_in: Ticks) -> Action {
         self.coverage.clear();
         self.false_drops = 0;

@@ -202,6 +202,8 @@ impl MultiLevelMachine {
 }
 
 impl ProtocolMachine<SigPayload> for MultiLevelMachine {
+    const FAST_FORWARD: bool = true;
+
     fn start(&mut self, _tune_in: Ticks) -> Action {
         self.coverage.clear();
         self.false_drops = 0;

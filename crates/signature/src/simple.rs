@@ -290,6 +290,8 @@ pub struct SimpleSigMachine {
 }
 
 impl ProtocolMachine<SigPayload> for SimpleSigMachine {
+    const FAST_FORWARD: bool = true;
+
     fn start(&mut self, _tune_in: Ticks) -> Action {
         self.coverage.clear();
         self.false_drops = 0;

@@ -36,9 +36,11 @@ pub struct SimConfig {
     /// Seed for the request stream.
     pub seed: u64,
     /// Execute rounds through the discrete-event engine (`true`, the
-    /// faithful testbed) or via the direct walker (`false`, identical
-    /// results — see the `drivers_equiv` integration test — but much less
-    /// scheduling overhead; what the sweep harness uses).
+    /// faithful testbed) or via the direct walker (`false`, what the
+    /// sweep harness uses). Both run the same protocol machines with
+    /// fast-forward on, so every request's outcome is bit-identical
+    /// between them (the `drivers_equiv` integration test); the walker
+    /// just skips the scheduling.
     pub event_driven: bool,
     /// Steady-state mode: keep at most this many clients admitted at
     /// once, streaming requests through the engine instead of

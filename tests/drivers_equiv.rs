@@ -1,7 +1,13 @@
 //! Internal validity of the testbed: the discrete-event engine and the
 //! direct walker execute the same protocol machines, so their outcomes
 //! must be *identical* — per request, for every scheme.
+//!
+//! Both of those fast-forward scans, so the suite also holds every
+//! one-shot drain to the bucket-by-bucket stepping run of
+//! [`DynSystem::begin`], the slow oracle.
 
+use bda::core::scheme::drain;
+use bda::core::{BurstModel, ErrorModel, OutageSchedule, PhaseSpans, WalkStep};
 use bda::prelude::*;
 use bda::sim::Engine;
 
@@ -96,6 +102,123 @@ fn stepping_runs_report_monotone_time() {
                 WalkStep::Done(out) => {
                     assert!(out.found);
                     break;
+                }
+            }
+        }
+    }
+}
+
+/// Every program shape a one-shot drain can run: the eight schemes, three
+/// D=3 broadcast-disk programs (two fast-forwarding scans and a chunked
+/// hash), a K=4 striped group and an indexed group, both with a 256-tick
+/// switch.
+fn all_shapes(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
+    let disks = DiskConfig::new(3);
+    let group = GroupConfig::new(4, 256).unwrap();
+    let mut all = systems(ds, params);
+    all.push(Box::new(
+        FlatDisksScheme::new(disks).build(ds, params).unwrap(),
+    ));
+    all.push(Box::new(
+        SimpleSignatureDisksScheme::new(disks)
+            .build(ds, params)
+            .unwrap(),
+    ));
+    all.push(Box::new(
+        DiskScheme::new(HashScheme::new(), disks)
+            .build(ds, params)
+            .unwrap(),
+    ));
+    all.push(Box::new(
+        StripedScheme::new(FlatScheme, group)
+            .build(ds, params)
+            .unwrap(),
+    ));
+    all.push(Box::new(
+        IndexedGroupScheme::new(group)
+            .unwrap()
+            .build(ds, params)
+            .unwrap(),
+    ));
+    all
+}
+
+/// A bucket-by-bucket observed drain: a span-recording slot with
+/// fast-forward off, stepped to completion.
+fn slow_spans(
+    sys: &dyn DynSystem,
+    key: Key,
+    tune_in: Ticks,
+    channel: ChannelModel,
+    policy: RetryPolicy,
+) -> (AccessOutcome, PhaseSpans) {
+    let mut slot = sys.make_slot(channel, policy, true);
+    slot.set_fast_forward(false);
+    slot.start(key, tune_in);
+    loop {
+        if let WalkStep::Done(out) = slot.step() {
+            return (out, *slot.spans().expect("observed slot records spans"));
+        }
+    }
+}
+
+#[test]
+fn one_shot_drains_equal_the_bucket_by_bucket_oracle() {
+    let (ds, pool) = DatasetBuilder::new(200, 0x0AC1E)
+        .build_with_absent_pool(10)
+        .unwrap();
+    let params = Params::paper();
+    let channels = [
+        ("none", ChannelModel::NONE),
+        ("iid10", ChannelModel::iid(ErrorModel::new(0.10, 0x1D))),
+        (
+            "burst",
+            ChannelModel::burst(BurstModel::new(0.05, 0.25, 0.0, 1.0, 0xB0B)),
+        ),
+        (
+            "outage",
+            ChannelModel::NONE.with_outages(OutageSchedule::new(2_500, 250, 0x0A7)),
+        ),
+    ];
+    let policies = [RetryPolicy::bounded(4), RetryPolicy::UNBOUNDED];
+    for sys in all_shapes(&ds, &params) {
+        let name = sys.scheme_name();
+        let cycle = sys.cycle_len();
+        // Ordinary tune-ins spread over three cycles, hits and misses,
+        // plus the last two instants the clock can represent.
+        let mut requests: Vec<(Ticks, Key)> = (0..24u64)
+            .map(|i| {
+                let key = if i % 4 == 3 {
+                    pool[i as usize % pool.len()]
+                } else {
+                    ds.record((i as usize * 23) % ds.len()).key
+                };
+                ((i * 0x9E37_79B9) % (3 * cycle), key)
+            })
+            .collect();
+        for t in [Ticks::MAX - 1, Ticks::MAX] {
+            requests.push((t, ds.record(7).key));
+            requests.push((t, pool[0]));
+        }
+        for (label, channel) in channels {
+            for policy in policies {
+                for &(t, key) in &requests {
+                    let ctx = format!("{name}/{label}/{policy:?}: t={t} key={key:?}");
+                    let oracle = drain(sys.begin(key, t, channel, policy).as_mut());
+                    assert!(!oracle.aborted, "{ctx}");
+                    assert_eq!(
+                        sys.probe_with_channel(key, t, channel, policy),
+                        oracle,
+                        "{ctx}"
+                    );
+                    if channel.is_lossless() && policy == RetryPolicy::UNBOUNDED {
+                        assert_eq!(sys.probe(key, t), oracle, "{ctx}");
+                    }
+                    let (recorded, spans) = sys.probe_recorded(key, t, channel, policy);
+                    assert_eq!(recorded, oracle, "{ctx}");
+                    let (slow, slow_spans) = slow_spans(sys.as_ref(), key, t, channel, policy);
+                    assert_eq!(slow, oracle, "{ctx}");
+                    assert_eq!(spans, slow_spans, "{ctx}");
                 }
             }
         }
